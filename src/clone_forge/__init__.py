@@ -1,7 +1,7 @@
 """Clones, substitution algebras over finite-ordinal presheaves, and the
 exact translations between them, with desk-scale law checking."""
 
-from .checks import CheckPolicy, LawCheck, Report
+from .checks import CarrierUnavailable, CheckPolicy, LawCheck, Report
 from .clone import (
     App,
     ArrowClone,

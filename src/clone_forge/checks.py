@@ -15,6 +15,14 @@ from dataclasses import dataclass, field
 from .fin_cat import FinMap
 
 
+class CarrierUnavailable(ValueError):
+    """A carrier or stage lies beyond what was constructed or stored.
+
+    Checkers treat it as a bound on coverage and note it; any other exception
+    from enumerating a carrier is a bug and propagates.
+    """
+
+
 @dataclass(frozen=True)
 class CheckPolicy:
     """How large an instance family may get before deterministic sampling."""

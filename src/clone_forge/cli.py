@@ -16,7 +16,7 @@ import time
 from dataclasses import dataclass
 
 from . import corpus
-from .checks import CheckPolicy, LawCheck, Report, describe
+from .checks import CarrierUnavailable, CheckPolicy, LawCheck, Report, describe
 from .clone import (
     Budget,
     ContextError,
@@ -139,7 +139,7 @@ def _carrier_note(clone, budget: Budget) -> str:
     for n in range(budget.max_arity + 1):
         try:
             sizes.append(len(clone.elems(n, budget)))
-        except Exception:
+        except CarrierUnavailable:
             sizes.append(None)
     return f"carrier sizes C_0..C_{budget.max_arity}: {sizes}"
 
@@ -260,7 +260,7 @@ def cmd_enum_hom(config: RunConfig):
     budget = _budget(config)
     try:
         homs = enumerate_theory_homs(clone, config.src, config.dst, budget)
-    except Exception as exc:
+    except CarrierUnavailable as exc:
         raise InputError(f"cannot enumerate hom-set: {exc}") from exc
     report = Report()
     report.checks.append(

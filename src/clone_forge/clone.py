@@ -10,52 +10,84 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .checks import CheckPolicy, LawRunner, Report
+from .checks import CarrierUnavailable, CheckPolicy, LawRunner, Report
 
 
 class ContextError(ValueError):
     """A term or an index escapes the variable context it was declared in."""
 
 
-@dataclass(frozen=True)
-class Var:
-    """A variable; min_context is the smallest context it lives in."""
+# The hash-cons table shared by every term in the process: a Var is keyed by
+# its index, an App by (op, args).  Equal terms are therefore one object.
+_TERMS: dict = {}
 
-    index: int
 
-    def __post_init__(self) -> None:
-        if self.index < 0:
-            raise ContextError(f"negative variable index {self.index}")
-        object.__setattr__(self, "min_context", self.index + 1)
+class _Term:
+    """Immutable, hash-consed term node; ``==`` and hashing are identity."""
 
-    def __hash__(self) -> int:
-        return hash((0, self.index))
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} terms are immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} terms are immutable")
+
+    def __reduce__(self):
+        # copy, deepcopy and unpickling rebuild through the constructor,
+        # which hands back the interned term
+        return type(self), tuple(getattr(self, f) for f in self.__match_args__)
+
+
+class Var(_Term):
+    """A variable; min_context is the smallest context it lives in.
+
+    Terms are hash-consed: ``Var(i)`` returns the one variable with index i,
+    so equal terms are the same object and ``==`` is identity.  Build terms
+    only through the ``Var`` and ``App`` constructors.
+    """
+
+    __slots__ = ("index", "min_context")
+    __match_args__ = ("index",)
+
+    def __new__(cls, index: int) -> "Var":
+        t = _TERMS.get(index)
+        if t is None:
+            if index < 0:
+                raise ContextError(f"negative variable index {index}")
+            t = object.__new__(cls)
+            object.__setattr__(t, "index", index)
+            object.__setattr__(t, "min_context", index + 1)
+            t = _TERMS.setdefault(index, t)
+        return t
 
     def __repr__(self) -> str:
         return f"x{self.index}"
 
 
-@dataclass(frozen=True)
-class App:
-    op: str
-    args: tuple["Term", ...]
+class App(_Term):
+    """An operator applied to argument terms.
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "args", tuple(self.args))
-        floor = 0
-        for a in self.args:
-            if a.min_context > floor:
-                floor = a.min_context
-        object.__setattr__(self, "min_context", floor)
-        object.__setattr__(self, "_hash", None)
+    Hash-consed like ``Var``: ``App(op, args)`` returns the one term with
+    that operator and those (already interned) arguments, so ``==`` is
+    identity and min_context is computed once per distinct term.
+    """
 
-    def __hash__(self) -> int:
-        # terms key memoization tables, so hashing must not re-walk the tree
-        h = self._hash
-        if h is None:
-            h = hash((1, self.op, self.args))
-            object.__setattr__(self, "_hash", h)
-        return h
+    __slots__ = ("op", "args", "min_context")
+    __match_args__ = ("op", "args")
+
+    def __new__(cls, op: str, args) -> "App":
+        args = tuple(args)
+        key = (op, args)
+        t = _TERMS.get(key)
+        if t is None:
+            t = object.__new__(cls)
+            object.__setattr__(t, "op", op)
+            object.__setattr__(t, "args", args)
+            floor = max((a.min_context for a in args), default=0)
+            object.__setattr__(t, "min_context", floor)
+            t = _TERMS.setdefault(key, t)
+        return t
 
     def __repr__(self) -> str:
         if not self.args:
@@ -98,20 +130,37 @@ class Budget:
             raise ValueError("budget bounds must be non-negative")
 
 
-def _check_vars(t: Term, context: int) -> None:
-    if t.min_context > context:
-        raise ContextError(
-            f"term {t!r} needs a context of at least {t.min_context}, got {context}"
-        )
+def _context_error(t: Term, context: int) -> ContextError:
+    return ContextError(
+        f"term {t!r} needs a context of at least {t.min_context}, got {context}"
+    )
+
+
+def _check_substitution(m: int, n: int, t: Term, us: tuple[Term, ...]) -> None:
+    if len(us) != m:
+        raise ContextError(f"expected {m} substituends, got {len(us)}")
+    if t.min_context > m:
+        raise _context_error(t, m)
+    for u in us:
+        if u.min_context > n:
+            raise _context_error(u, n)
 
 
 def _subst(t: Term, us: tuple[Term, ...]) -> Term:
-    match t:
-        case Var(index=i):
-            return us[i]
-        case App(op=op, args=args):
-            return App(op, tuple(_subst(a, us) for a in args))
-    raise TypeError(f"not a term: {t!r}")
+    """Replace each x_i in t by us[i], once per distinct subterm of t."""
+    done: dict[Term, Term] = {}
+
+    def go(s: Term) -> Term:
+        if type(s) is Var:
+            return us[s.index]
+        r = done.get(s)
+        if r is None:
+            # a closed subterm has no variable to replace
+            r = s if s.min_context == 0 else App(s.op, [go(a) for a in s.args])
+            done[s] = r
+        return r
+
+    return go(t)
 
 
 def free_iota(m: int, i: int) -> Term:
@@ -124,11 +173,7 @@ def free_iota(m: int, i: int) -> Term:
 def free_mu(m: int, n: int, t: Term, us) -> Term:
     """Simultaneously replace the m variables of t by terms over n variables."""
     us = tuple(us)
-    if len(us) != m:
-        raise ContextError(f"expected {m} substituends, got {len(us)}")
-    _check_vars(t, m)
-    for u in us:
-        _check_vars(u, n)
+    _check_substitution(m, n, t, us)
     return _subst(t, us)
 
 
@@ -158,6 +203,7 @@ class FreeClone(Clone):
         ops = ",".join(f"{k}:{v}" for k, v in signature.operators.items())
         self.name = f"free({ops})"
         self._layers: dict[int, list[list[Term]]] = {}
+        self._mu_memo: dict[tuple[Term, tuple[Term, ...]], Term] = {}
 
     def elems(self, n: int, budget: Budget | None = None) -> list[Term]:
         depth = (budget or Budget()).max_depth
@@ -183,7 +229,14 @@ class FreeClone(Clone):
         return [t for layer in layers[: depth + 1] for t in layer]
 
     def mu(self, m, n, t, us):
-        return free_mu(m, n, t, us)
+        us = tuple(us)
+        _check_substitution(m, n, t, us)
+        # terms are interned, so the key hashes and compares by identity
+        key = (t, us)
+        r = self._mu_memo.get(key)
+        if r is None:
+            r = self._mu_memo[key] = _subst(t, us)
+        return r
 
     def iota(self, m, i):
         return free_iota(m, i)
@@ -213,10 +266,15 @@ class FiniteAlgebra:
                 raise ValueError(f"operation {name!r}: value outside carrier")
 
 
-def _tuple_index(values, k: int) -> int:
-    idx = 0
-    for v in values:
-        idx = idx * k + v
+def _columns(fs, k: int, width: int) -> list[int]:
+    """Row index into a k-ary table of each of the width columns of fs.
+
+    Column j of the value tables fs is the argument tuple (f[j] for f in fs);
+    the index is built one table at a time, last argument varying fastest.
+    """
+    idx = [0] * width
+    for f in fs:
+        idx = [i * k + v for i, v in zip(idx, f, strict=True)]
     return idx
 
 
@@ -233,10 +291,11 @@ class FiniteClone(Clone):
         self.max_arity = max_arity
         self.name = f"finite(k={algebra.carrier_size})"
         self._carriers: dict[int, list[tuple[int, ...]]] = {}
+        self._mu_memo: dict[tuple, tuple[int, ...]] = {}
 
     def elems(self, n: int, budget: Budget | None = None) -> list[tuple[int, ...]]:
         if n > self.max_arity:
-            raise ValueError(
+            raise CarrierUnavailable(
                 f"carrier C_{n} not constructed: clone was closed up to arity "
                 f"{self.max_arity}"
             )
@@ -257,10 +316,7 @@ class FiniteClone(Clone):
                     candidates = [(table[0],) * (k**n)]
                 else:
                     candidates = (
-                        tuple(
-                            table[_tuple_index((f[j] for f in fs), k)]
-                            for j in range(k**n)
-                        )
+                        tuple(map(table.__getitem__, _columns(fs, k, k**n)))
                         for fs in itertools.product(snapshot, repeat=arity)
                     )
                 for cand in candidates:
@@ -274,10 +330,12 @@ class FiniteClone(Clone):
         us = tuple(us)
         if len(us) != m:
             raise ContextError(f"expected {m} substituends, got {len(us)}")
-        k = self.algebra.carrier_size
-        return tuple(
-            t[_tuple_index((u[j] for u in us), k)] for j in range(k**n)
-        )
+        key = (n, t, us)
+        r = self._mu_memo.get(key)
+        if r is None:
+            k = self.algebra.carrier_size
+            r = self._mu_memo[key] = tuple(map(t.__getitem__, _columns(us, k, k**n)))
+        return r
 
     def iota(self, m, i):
         if not 0 <= i < m:
@@ -369,7 +427,7 @@ def _carriers_within(clone: Clone, budget: Budget, report: Report) -> dict[int, 
     for n in range(budget.max_arity + 1):
         try:
             carriers[n] = list(clone.elems(n, budget))
-        except Exception as exc:  # enumeration exhaustion is incomplete, not failure
+        except CarrierUnavailable as exc:  # incomplete coverage, not failure
             report.notes.append(f"carrier C_{n} unavailable: {exc}")
             break
     return carriers
@@ -489,7 +547,7 @@ def theory_laws_check(
     for n in range(bound + 1):
         try:
             carriers[n] = list(clone.elems(n, budget))
-        except Exception as exc:
+        except CarrierUnavailable as exc:
             report.notes.append(f"carrier C_{n} unavailable: {exc}")
             break
     objs = sorted(carriers)

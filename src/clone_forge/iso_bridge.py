@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .checks import CheckPolicy, LawRunner, Report
+from .checks import CarrierUnavailable, CheckPolicy, LawRunner, Report
 from .clone import Budget, Clone, clone_hom_check
 from .fin_cat import FinMap, enumerate_maps
 from .presheaf_f import Presheaf
@@ -191,7 +191,7 @@ def roundtrip_clone(
     for n in range(budget.max_arity + 1):
         try:
             carriers[n] = list(clone.elems(n, budget))
-        except Exception as exc:
+        except CarrierUnavailable as exc:
             report.notes.append(f"carrier C_{n} unavailable: {exc}")
             break
     arities = sorted(carriers)

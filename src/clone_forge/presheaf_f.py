@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .checks import CheckPolicy, LawRunner, Report
+from .checks import CarrierUnavailable, CheckPolicy, LawRunner, Report
 from .fin_cat import (
     FinMap,
     ShapeError,
@@ -28,7 +28,7 @@ from .fin_cat import (
 )
 
 
-class StageRangeError(ValueError):
+class StageRangeError(CarrierUnavailable):
     """A stage beyond the stored truncation bound was requested."""
 
     def __init__(self, stage: int, message: str | None = None):

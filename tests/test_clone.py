@@ -1,11 +1,13 @@
 """Free and finite clones, built-ins, and the induced theory."""
 
+import copy
 import itertools
+import pickle
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from clone_forge.checks import CheckPolicy
+from clone_forge.checks import CarrierUnavailable, CheckPolicy
 from clone_forge.clone import (
     App,
     Budget,
@@ -28,13 +30,24 @@ from clone_forge.clone import (
 )
 
 SIG = Signature({"b": 2, "e": 0})
+MEET = FiniteAlgebra(2, {"meet": (2, (0, 0, 0, 1))})
+
+
+def tree(term):
+    """Structural encoding as nested tuples: an int for a variable, (op, args)
+    for an application.  Terms are interned, so comparing encodings keeps the
+    oracle below independent of the term constructors."""
+    if isinstance(term, Var):
+        return term.index
+    return (term.op, tuple(tree(a) for a in term.args))
 
 
 def naive_subst(term, env):
-    """Independent oracle: environment-based recursive substitution."""
-    if isinstance(term, Var):
-        return env[term.index]
-    return App(term.op, tuple(naive_subst(a, env) for a in term.args))
+    """Independent oracle: environment-based substitution on encodings."""
+    if isinstance(term, int):
+        return env[term]
+    op, args = term
+    return (op, tuple(naive_subst(a, env) for a in args))
 
 
 def small_terms(n_vars, depth):
@@ -78,7 +91,8 @@ def test_free_mu_context_errors():
 @settings(max_examples=200)
 @given(small_terms(2, 2), small_terms(3, 1), small_terms(3, 1))
 def test_free_mu_matches_naive_substituter(t, u0, u1):
-    assert free_mu(2, 3, t, [u0, u1]) == naive_subst(t, {0: u0, 1: u1})
+    got = tree(free_mu(2, 3, t, [u0, u1]))
+    assert got == naive_subst(tree(t), {0: tree(u0), 1: tree(u1)})
 
 
 @settings(max_examples=100)
@@ -91,8 +105,9 @@ def test_free_mu_associativity_instance(t, ys, zs):
     lhs = free_mu(2, 1, free_mu(2, 2, t, ys), zs)
     rhs = free_mu(2, 1, t, tuple(free_mu(2, 1, y, zs) for y in ys))
     # oracle: both sides through the naive substituter
-    env_inner = {i: naive_subst(y, dict(enumerate(zs))) for i, y in enumerate(ys)}
-    assert lhs == rhs == naive_subst(t, env_inner)
+    env_z = {i: tree(z) for i, z in enumerate(zs)}
+    env_inner = {i: naive_subst(tree(y), env_z) for i, y in enumerate(ys)}
+    assert tree(lhs) == tree(rhs) == naive_subst(tree(t), env_inner)
 
 
 def test_free_enumeration_deterministic_and_depth_layered():
@@ -179,7 +194,7 @@ def test_projections_always_present():
 
 def test_finite_clone_gates_arity():
     clone = finite_clone_of_algebra(FiniteAlgebra(2, {"meet": (2, (0, 0, 0, 1))}), 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(CarrierUnavailable):
         clone.elems(3)
 
 
@@ -224,7 +239,8 @@ def test_theory_compose_example():
     composite = theory_compose(free, f, g)
     expected = App("b", (Var(0), App("b", (Var(0), Var(0)))))
     # oracle: the naive substituter computes the same component
-    assert naive_subst(f.components[0], dict(enumerate(g.components))) == expected
+    env = {i: tree(c) for i, c in enumerate(g.components)}
+    assert naive_subst(tree(f.components[0]), env) == tree(expected)
     assert composite == TheoryHom(1, 1, (expected,))
 
 
@@ -268,3 +284,123 @@ def test_clone_hom_check_catches_shift():
 
     report = clone_hom_check(shifted, initial, initial, Budget(max_arity=3))
     assert not report.passed
+
+
+def test_terms_are_interned():
+    a = App("b", (Var(0), App("e", ())))
+    b = App("b", [Var(0), App("e", [])])
+    assert a is b
+    assert Var(2) is Var(2)
+    assert a.min_context == 1
+    assert App("e", ()).min_context == 0
+    with pytest.raises(AttributeError):
+        a.op = "c"
+
+
+def test_negative_variable_rejected():
+    with pytest.raises(ContextError):
+        Var(-1)
+
+
+def test_copies_and_pickles_return_the_interned_term():
+    t = App("b", (Var(1), App("b", (Var(0), App("e", ())))))
+    for term in (t, Var(3)):
+        assert copy.copy(term) is term
+        assert copy.deepcopy(term) is term
+        assert pickle.loads(pickle.dumps(term)) is term
+
+
+def test_terms_match_class_patterns():
+    match App("b", (Var(0), Var(1))):
+        case App(op="b", args=(Var(index=i), Var(index=j))):
+            assert (i, j) == (0, 1)
+        case _:
+            pytest.fail("App pattern did not match")
+
+
+def test_memoized_mu_still_checks_contexts():
+    free = FreeClone(SIG)
+    t, us = App("b", (Var(0), Var(1))), (Var(0), Var(1))
+    assert free.mu(2, 2, t, us) is t
+    with pytest.raises(ContextError):
+        free.mu(3, 2, t, us)  # wrong substituend count, same memo key
+    with pytest.raises(ContextError):
+        free.mu(2, 1, t, us)  # x1 escapes a context of one variable
+    meet = finite_clone_of_algebra(MEET, 3)
+    t, us = meet.iota(2, 0), (meet.iota(1, 0), meet.iota(1, 0))
+    assert meet.mu(2, 1, t, us) == (0, 1)
+    with pytest.raises(ContextError):
+        meet.mu(3, 1, t, us)
+
+
+def test_finite_mu_matches_row_major_reference():
+    def reference(k, n, t, us):
+        # the row-major index of column j, last argument varying fastest
+        def index(values):
+            idx = 0
+            for v in values:
+                idx = idx * k + v
+            return idx
+
+        return tuple(t[index(u[j] for u in us)] for j in range(k**n))
+
+    clone = finite_clone_of_algebra(MEET, 3)
+    checked = 0
+    for m, n in itertools.product(range(4), repeat=2):
+        for t in clone.elems(m):
+            for us in itertools.product(clone.elems(n), repeat=m):
+                assert clone.mu(m, n, t, us) == reference(2, n, t, us)
+                checked += 1
+    assert checked == 2785  # sum over m, n of |C_m| * |C_n|**m
+
+
+def test_clone_law_coverage_at_default_budget():
+    # a memo that skipped instances or reordered draws would change these
+    expected = {
+        "free-b2e0": [
+            ("associativity", "sampled", 330_452),
+            ("projection", "sampled", 73_771),
+            ("right-identity", "exhaustive", 238),
+        ],
+        "meet": [
+            ("associativity", "sampled", 139_404),
+            ("projection", "exhaustive", 1_242),
+            ("right-identity", "exhaustive", 11),
+        ],
+    }
+    clones = {
+        "free-b2e0": FreeClone(SIG),
+        "meet": finite_clone_of_algebra(MEET, 4),
+    }
+    for name, clone in clones.items():
+        report = clone_laws_check(clone, Budget(), CheckPolicy(seed=0))
+        assert report.passed
+        assert [(c.law, c.mode, c.instances) for c in report.checks] == expected[name]
+
+
+def test_carrier_bug_is_not_a_passing_report():
+    class Buggy(Clone):
+        name = "buggy"
+
+        def elems(self, n, budget=None):
+            if n == 2:
+                raise TypeError("bug in enumeration")
+            return list(range(n))
+
+        def mu(self, m, n, t, us):
+            return tuple(us)[t]
+
+        def iota(self, m, i):
+            return i
+
+    with pytest.raises(TypeError):
+        clone_laws_check(Buggy(), Budget(max_arity=3))
+    with pytest.raises(TypeError):
+        theory_laws_check(Buggy(), 3)
+
+
+def test_arity_gate_notes_incomplete_coverage():
+    meet = finite_clone_of_algebra(MEET, 2)
+    report = clone_laws_check(meet, Budget(max_arity=3))
+    assert report.passed
+    assert report.notes and report.notes[0].startswith("carrier C_3 unavailable")
