@@ -17,26 +17,63 @@ class ShapeError(ValueError):
     """A map's endpoints do not match what an operation requires."""
 
 
-@dataclass(frozen=True)
+# The hash-cons table shared by every map in the process, keyed by
+# (dom, cod, table).  Equal maps are therefore one object.
+_MAPS: dict = {}
+_INT = frozenset((int,))
+
+
 class FinMap:
-    """A total function {0..dom-1} -> {0..cod-1} stored as a tuple of images."""
+    """A total function {0..dom-1} -> {0..cod-1} stored as a tuple of images.
 
-    dom: int
-    cod: int
-    table: tuple[int, ...] = ()
+    Maps are hash-consed: ``FinMap(dom, cod, table)`` returns the one map with
+    those endpoints and images, so equal maps are the same object and ``==``
+    and hashing are identity.  Validation runs once, when a map is first
+    built.  Build maps only through the ``FinMap`` constructor.
+    """
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "table", tuple(self.table))
-        if self.dom < 0 or self.cod < 0:
-            raise ShapeError(f"negative endpoints {self.dom}->{self.cod}")
-        if len(self.table) != self.dom:
-            raise ShapeError(
-                f"table {list(self.table)} has length {len(self.table)}, "
-                f"expected {self.dom}"
-            )
-        for pos, img in enumerate(self.table):
-            if not 0 <= img < self.cod:
-                raise ShapeError(f"image {img} at {pos} outside codomain {self.cod}")
+    __slots__ = ("dom", "cod", "table")
+    __match_args__ = ("dom", "cod", "table")
+
+    def __new__(cls, dom: int, cod: int, table=()) -> "FinMap":
+        table = tuple(table)
+        # bool and float images hash like ints and would hit the interned
+        # int map, so the types are checked before the lookup
+        if (
+            type(dom) is not int
+            or type(cod) is not int
+            or not _INT.issuperset(map(type, table))
+        ):
+            raise ShapeError(f"non-integer map data {dom!r}->{cod!r} {list(table)!r}")
+        key = (dom, cod, table)
+        f = _MAPS.get(key)
+        if f is None:
+            if dom < 0 or cod < 0:
+                raise ShapeError(f"negative endpoints {dom}->{cod}")
+            if len(table) != dom:
+                raise ShapeError(
+                    f"table {list(table)} has length {len(table)}, expected {dom}"
+                )
+            for pos, img in enumerate(table):
+                if not 0 <= img < cod:
+                    raise ShapeError(f"image {img} at {pos} outside codomain {cod}")
+            f = object.__new__(cls)
+            object.__setattr__(f, "dom", dom)
+            object.__setattr__(f, "cod", cod)
+            object.__setattr__(f, "table", table)
+            f = _MAPS.setdefault(key, f)
+        return f
+
+    def __setattr__(self, name, value):
+        raise AttributeError("FinMap is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("FinMap is immutable")
+
+    def __reduce__(self):
+        # copy, deepcopy and unpickling rebuild through the constructor,
+        # which hands back the interned map
+        return FinMap, (self.dom, self.cod, self.table)
 
     def __call__(self, i: int) -> int:
         return self.table[i]
@@ -96,14 +133,6 @@ class Generators:
     c: FinMap
     w: FinMap
     s: FinMap
-
-    @staticmethod
-    def old(n: int) -> FinMap:
-        return old(n)
-
-    @staticmethod
-    def new(n: int) -> FinMap:
-        return new(n)
 
 
 def generators() -> Generators:

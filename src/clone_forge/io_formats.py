@@ -36,13 +36,18 @@ def _expect(cond: bool, message: str) -> None:
         raise SchemaError(message)
 
 
+def _is_int(value) -> bool:
+    """A JSON integer: Python counts true/false as ints, the schemas do not."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def load_signature(path) -> Signature:
     data = _load_json(path)
     _expect(isinstance(data, dict) and "operators" in data, f"{path}: expected an object with 'operators'")
     ops = data["operators"]
     _expect(isinstance(ops, dict), f"{path}: 'operators' must be an object")
     for name, arity in ops.items():
-        _expect(isinstance(arity, int) and arity >= 0, f"{path}: bad arity for {name!r}")
+        _expect(_is_int(arity) and arity >= 0, f"{path}: bad arity for {name!r}")
     return Signature(ops)
 
 
@@ -57,7 +62,7 @@ def load_finite_algebra(path) -> FiniteAlgebra:
         f"{path}: expected an object with 'carrier' and 'operations'",
     )
     carrier = data["carrier"]
-    _expect(isinstance(carrier, int) and carrier >= 1, f"{path}: bad carrier size")
+    _expect(_is_int(carrier) and carrier >= 1, f"{path}: bad carrier size")
     ops = {}
     _expect(isinstance(data["operations"], dict), f"{path}: 'operations' must be an object")
     for name, spec in data["operations"].items():
@@ -66,8 +71,11 @@ def load_finite_algebra(path) -> FiniteAlgebra:
             f"{path}: operation {name!r} needs 'arity' and 'table'",
         )
         arity, table = spec["arity"], spec["table"]
-        _expect(isinstance(arity, int) and arity >= 0, f"{path}: bad arity for {name!r}")
-        _expect(isinstance(table, list), f"{path}: bad table for {name!r}")
+        _expect(_is_int(arity) and arity >= 0, f"{path}: bad arity for {name!r}")
+        _expect(
+            isinstance(table, list) and all(_is_int(v) for v in table),
+            f"{path}: bad table for {name!r}",
+        )
         ops[name] = (arity, tuple(table))
     try:
         return FiniteAlgebra(carrier, ops)
@@ -118,13 +126,13 @@ def _parse_truncated_presheaf(data, label: str) -> TruncatedPresheaf:
         f"{label}: expected 'bound', 'carriers', 'actions'",
     )
     bound = data["bound"]
-    _expect(isinstance(bound, int) and bound >= 0, f"{label}: bad bound")
+    _expect(_is_int(bound) and bound >= 0, f"{label}: bad bound")
     sizes = data["carriers"]
     _expect(
         isinstance(sizes, list) and len(sizes) == bound + 1,
         f"{label}: 'carriers' must list stages 0..{bound}",
     )
-    _expect(all(isinstance(s, int) and s >= 0 for s in sizes), f"{label}: bad carrier size")
+    _expect(all(_is_int(s) and s >= 0 for s in sizes), f"{label}: bad carrier size")
     actions: dict[tuple[int, int], dict[tuple[int, ...], tuple[int, ...]]] = {}
     raw_actions = data["actions"]
     _expect(isinstance(raw_actions, dict), f"{label}: 'actions' must be an object")
@@ -145,7 +153,7 @@ def _parse_truncated_presheaf(data, label: str) -> TruncatedPresheaf:
                     f"{label}: table for {key!r}/{_table_key(f)!r} has wrong length",
                 )
                 _expect(
-                    all(isinstance(v, int) and 0 <= v < sizes[n] for v in raw),
+                    all(_is_int(v) and 0 <= v < sizes[n] for v in raw),
                     f"{label}: table for {key!r}/{_table_key(f)!r} escapes the carrier",
                 )
                 tables[f.table] = tuple(raw)
@@ -191,9 +199,13 @@ def load_subst_algebra(path) -> TableSubstAlgebra:
             isinstance(s_raw, list),
             f"{path}: missing substitution table for stage {m}",
         )
+        _expect(
+            all(_is_int(v) for v in s_raw),
+            f"{path}: substitution table for stage {m} has a non-integer entry",
+        )
         s_tables[m] = list(s_raw)
         v_raw = data["v"].get(str(m))
-        _expect(isinstance(v_raw, int), f"{path}: missing variable for stage {m}")
+        _expect(_is_int(v_raw), f"{path}: missing or non-integer variable for stage {m}")
         v_values[m] = v_raw
     try:
         return TableSubstAlgebra(P, s_tables, v_values, name=Path(str(path)).stem)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .checks import CarrierUnavailable, CheckPolicy, LawRunner, Report
 from .clone import Budget, Clone, clone_hom_check
 from .fin_cat import FinMap, enumerate_maps
-from .presheaf_f import Presheaf
+from .presheaf_f import Presheaf, clamp_stage
 from .subst_algebra import SubstAlgebra, hom_check
 
 
@@ -246,12 +246,7 @@ def roundtrip_alg(
     policy = policy or CheckPolicy()
     back = s_functor(c_functor(algebra), budget)
     report = Report()
-    top = algebra.max_stage()
-    if top is not None and top < bound:
-        report.notes.append(
-            f"incomplete: bound {bound} clamped to stored stages 0..{top}"
-        )
-        bound = top
+    bound = clamp_stage(algebra, bound, report)
     A = {m: list(algebra.base.set(m)) for m in range(bound + 1)}
 
     act_eq = LawRunner("act-agreement", policy)

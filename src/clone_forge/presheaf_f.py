@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .checks import CarrierUnavailable, CheckPolicy, LawRunner, Report
 from .fin_cat import (
@@ -46,6 +46,14 @@ class Presheaf:
 
     def act(self, f: FinMap, x):
         raise NotImplementedError
+
+    def action(self, f: FinMap):
+        """act(f, -) as a one-argument callable, for many elements under one map.
+
+        Errors that ``act`` raises for the map itself may be raised here, when
+        the callable is built; the callable then behaves as ``act(f, x)``.
+        """
+        return partial(self.act, f)
 
     def max_stage(self) -> int | None:
         """Largest available stage, or None when every stage is computable."""
@@ -93,12 +101,15 @@ class TruncatedPresheaf(Presheaf):
         return list(range(self.carrier_sizes[m]))
 
     def act(self, f, x):
+        return self.action(f)(x)
+
+    def action(self, f):
         if f.dom > self.bound or f.cod > self.bound:
             raise StageRangeError(
                 max(f.dom, f.cod),
                 f"map {f} beyond truncation bound {self.bound}",
             )
-        return self.actions[(f.dom, f.cod)][f.table][x]
+        return self.actions[(f.dom, f.cod)][f.table].__getitem__
 
     def max_stage(self):
         return self.bound
@@ -274,18 +285,67 @@ def _available(P: Presheaf, stage: int) -> bool:
     return top is None or stage <= top
 
 
+def clamp_stage(source, bound: int, report: Report) -> int:
+    """bound lowered to the last stage source stores, noting any loss in report.
+
+    source is a presheaf or an algebra; anything with ``max_stage()``.
+    """
+    top = source.max_stage()
+    if top is not None and top < bound:
+        report.notes.append(
+            f"incomplete: bound {bound} clamped to stored stages 0..{top}"
+        )
+        return top
+    return bound
+
+
+def compose_violation(P: Presheaf, first: str, second: str, composite_lhs: bool):
+    """The LawRunner callback for act(first;second, x) = act(second, act(first, x)).
+
+    The callback takes (first map, second map, x).  Work that depends only on
+    the maps is hoisted out of the per-element path: the composite is looked
+    up once per pair of maps, at the pair's first instance, telling pairs
+    apart by identity (maps are hash-consed), and each map's action is built
+    once per callback.  An exhaustive stream holds a pair while x varies, so
+    most instances only evaluate the two sides and compare them.  The witness
+    keys the maps by the names first and second, and puts the composite's
+    value on the lhs when composite_lhs, else on the rhs.
+    """
+    last_f = last_g = act_first = act_second = act_composite = None
+    actions = {}
+
+    def action(f):
+        a = actions.get(f)
+        if a is None:
+            a = actions[f] = P.action(f)
+        return a
+
+    def violated(f, g, x):
+        nonlocal last_f, last_g, act_first, act_second, act_composite
+        if f is not last_f:
+            act_first = action(f)
+            last_f, last_g = f, None
+        if g is not last_g:
+            act_second = action(g)
+            act_composite = action(compose_cached(f, g))
+            last_g = g
+        composite = act_composite(x)
+        stepwise = act_second(act_first(x))
+        if composite != stepwise:
+            lhs, rhs = (composite, stepwise) if composite_lhs else (stepwise, composite)
+            return {first: f, second: g, "x": x, "lhs": lhs, "rhs": rhs}
+        return None
+
+    return violated
+
+
 def check_functoriality(
     P: Presheaf, bound: int = 3, policy: CheckPolicy | None = None
 ) -> Report:
     """Identity and composition laws of the action, exhaustively up to bound."""
     policy = policy or CheckPolicy()
     report = Report()
-    top = P.max_stage()
-    if top is not None and top < bound:
-        report.notes.append(
-            f"incomplete: bound {bound} clamped to stored stages 0..{top}"
-        )
-        bound = top
+    bound = clamp_stage(P, bound, report)
     stages = range(bound + 1)
     carriers = {m: list(P.set(m)) for m in stages}
 
@@ -303,15 +363,7 @@ def check_functoriality(
     comp = LawRunner("compose-action", policy)
     for m, n, k in itertools.product(stages, repeat=3):
         axes = [enumerate_maps(m, n), enumerate_maps(n, k), carriers[m]]
-
-        def violated(f, g, x):
-            lhs = P.act(compose_cached(f, g), x)
-            rhs = P.act(g, P.act(f, x))
-            if lhs != rhs:
-                return {"f": f, "g": g, "x": x, "lhs": lhs, "rhs": rhs}
-            return None
-
-        comp.run(f"{m}->{n}->{k}", axes, violated)
+        comp.run(f"{m}->{n}->{k}", axes, compose_violation(P, "f", "g", True))
     report.checks.append(comp.result())
     return report
 

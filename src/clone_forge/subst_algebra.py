@@ -12,13 +12,15 @@ from __future__ import annotations
 import itertools
 
 from .checks import CheckPolicy, LawRunner, Report
-from .fin_cat import FinMap, compose_cached, enumerate_maps, identity, new, shifted
+from .fin_cat import FinMap, enumerate_maps, identity, new, shifted
 from .presheaf_f import (
     DeltaPresheaf,
     DeltaStructure,
     Presheaf,
     Strengths,
     TruncatedPresheaf,
+    clamp_stage,
+    compose_violation,
     insert_map,
     merge_map,
     swap_map,
@@ -161,16 +163,6 @@ def truncate_algebra(alg: SubstAlgebra, bound: int, name: str | None = None) -> 
     )
 
 
-def _clamp(alg: SubstAlgebra, bound: int, report: Report) -> int:
-    top = alg.max_stage()
-    if top is not None and top < bound:
-        report.notes.append(
-            f"incomplete: bound {bound} clamped to stored stages 0..{top}"
-        )
-        return top
-    return bound
-
-
 def check_presentation(
     alg: SubstAlgebra, bound: int = 3, policy: CheckPolicy | None = None
 ) -> Report:
@@ -181,7 +173,7 @@ def check_presentation(
     """
     policy = policy or CheckPolicy()
     report = Report(mode="equations")
-    bound = _clamp(alg, bound, report)
+    bound = clamp_stage(alg, bound, report)
     A = {m: list(alg.base.set(m)) for m in range(bound + 1)}
     act = alg.base.act
     nu = alg.v_at(0)
@@ -192,15 +184,7 @@ def check_presentation(
     comp = LawRunner("act-compose", policy)
     for l, m, n in itertools.product(range(bound + 1), repeat=3):
         axes = [enumerate_maps(l, m), enumerate_maps(m, n), A[l]]
-
-        def violated(gmap, fmap, x):
-            lhs = act(fmap, act(gmap, x))
-            rhs = act(compose_cached(gmap, fmap), x)
-            if lhs != rhs:
-                return {"g": gmap, "f": fmap, "x": x, "lhs": lhs, "rhs": rhs}
-            return None
-
-        comp.run(f"{l}->{m}->{n}", axes, violated)
+        comp.run(f"{l}->{m}->{n}", axes, compose_violation(alg.base, "g", "f", False))
     report.checks.append(comp.result())
 
     ident = LawRunner("act-identity", policy)
@@ -308,7 +292,7 @@ def check_diagrams(
     """
     policy = policy or CheckPolicy()
     report = Report(mode="diagrams")
-    bound = _clamp(alg, bound, report)
+    bound = clamp_stage(alg, bound, report)
     A = {m: list(alg.base.set(m)) for m in range(bound + 1)}
     act = alg.base.act
     ds = DeltaStructure(alg.base)
@@ -389,7 +373,7 @@ def check_v_naturality(
     """The variable family commutes with shifted actions."""
     policy = policy or CheckPolicy()
     report = Report()
-    bound = _clamp(alg, bound, report)
+    bound = clamp_stage(alg, bound, report)
     runner = LawRunner("v-naturality", policy)
     for m, n in itertools.product(range(bound), repeat=2):
         axes = [enumerate_maps(m, n)]
@@ -416,7 +400,7 @@ def hom_check(
     """Naturality of the family h plus preservation of variables and s."""
     policy = policy or CheckPolicy()
     report = Report()
-    bound = min(_clamp(src, bound, report), _clamp(dst, bound, report))
+    bound = min(clamp_stage(src, bound, report), clamp_stage(dst, bound, report))
     A = {m: list(src.base.set(m)) for m in range(bound + 1)}
 
     nat = LawRunner("hom-naturality", policy)

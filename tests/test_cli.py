@@ -95,6 +95,45 @@ def test_schema_error_exits_two(tmp_path, capsys):
     assert main(["check-subst", "--input", str(path)]) == EXIT_INPUT
 
 
+def _subst_payload():
+    return json.loads(dump_subst_algebra(truncate_algebra(s_functor(builtin_clone("initial")), 3)))
+
+
+# (command, flag, payload, path to one entry, a replacement that is not a
+# JSON integer); bools replace an equal int, so only the type is wrong
+NON_INTEGER_INPUTS = [
+    ("free-clone", "--signature", lambda: {"operators": {"b": 2, "e": 0}}, ["operators", "e"], False),
+    ("free-clone", "--signature", lambda: {"operators": {"b": 2, "e": 0}}, ["operators", "b"], 2.0),
+    ("finite-clone", "--input", lambda: json.loads(MEET), ["operations", "meet", "table", 3], True),
+    ("finite-clone", "--input", lambda: json.loads(MEET), ["operations", "meet", "table", 0], "0"),
+    ("finite-clone", "--input", lambda: json.loads(MEET), ["operations", "meet", "table", 0], 0.5),
+    ("finite-clone", "--input", lambda: json.loads(MEET), ["carrier"], 2.0),
+    ("check-subst", "--input", _subst_payload, ["carriers", 1], True),
+    ("check-subst", "--input", _subst_payload, ["actions", "1->1", "0", 0], False),
+    ("check-subst", "--input", _subst_payload, ["s", "2", 2], True),
+    ("check-subst", "--input", _subst_payload, ["s", "2", 0], 0.5),
+    ("check-subst", "--input", _subst_payload, ["s", "2", 0], "0"),
+    ("check-subst", "--input", _subst_payload, ["v", "0"], False),
+    ("check-subst", "--input", _subst_payload, ["bound"], 3.0),
+]
+
+
+@pytest.mark.parametrize(
+    "command, flag, payload, where, value",
+    NON_INTEGER_INPUTS,
+    ids=[f"{c[0]}:{'.'.join(map(str, c[3]))}={c[4]!r}" for c in NON_INTEGER_INPUTS],
+)
+def test_non_integer_input_exits_two(tmp_path, capsys, command, flag, payload, where, value):
+    data = payload()
+    entry = data
+    for key in where[:-1]:
+        entry = entry[key]
+    entry[where[-1]] = value
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    assert main([command, flag, str(path)]) == EXIT_INPUT
+
+
 def test_missing_file_exits_two(capsys):
     assert main(["check-subst", "--input", "/nonexistent/alg.json"]) == EXIT_INPUT
 

@@ -1,10 +1,14 @@
 """Tables, composition, coproducts and the eight-diagram checker."""
 
+import copy
 import itertools
+import json
+import pickle
 
 import pytest
 from hypothesis import given, strategies as st
 
+from clone_forge import fin_cat
 from clone_forge.fin_cat import (
     FinMap,
     ShapeError,
@@ -75,8 +79,6 @@ def test_generator_tables():
     assert g.s == FinMap(2, 2, (1, 0))
     assert old(2) == FinMap(2, 3, (0, 1))
     assert new(2) == FinMap(1, 3, (2,))
-    assert g.old(1) == old(1)
-    assert g.new(0) == new(0)
 
 
 def test_swap_is_copair_of_new_and_old():
@@ -86,12 +88,87 @@ def test_swap_is_copair_of_new_and_old():
 
 
 def test_finmap_validation():
+    bad = [
+        (2, 1, (0,)),
+        (1, 1, (1,)),
+        (-1, 0, ()),
+        (1, 2, (-1,)),
+        # non-integer data; bool and float hash like the int map (1, 2, (1,))
+        (1, 2, (True,)),
+        (1, 2, (1.0,)),
+        (1, 2, ("0",)),
+        (True, 2, (0,)),
+        (1, 2.0, (0,)),
+    ]
+    FinMap(1, 2, (1,))
+    for dom, cod, table in bad:
+        with pytest.raises(ShapeError):
+            FinMap(dom, cod, table)
+
+
+def test_rejected_maps_are_not_interned():
     with pytest.raises(ShapeError):
-        FinMap(2, 1, (0,))
+        FinMap(3, 1, (0, 0))
+    assert (3, 1, (0, 0)) not in fin_cat._MAPS
+    # a bool image equals the int image as a key; it must not be handed the
+    # int map, nor leave itself behind for later int lookups
     with pytest.raises(ShapeError):
-        FinMap(1, 1, (1,))
+        FinMap(1, 7, (True,))
+    f = FinMap(1, 7, (1,))
+    assert type(f.table[0]) is int
+    assert json.dumps(f.to_json()) == '{"dom": 1, "cod": 7, "table": [1]}'
     with pytest.raises(ShapeError):
-        FinMap(-1, 0, ())
+        FinMap(1, 7, (True,))
+
+
+def test_finmaps_are_interned():
+    f = FinMap(3, 2, (0, 1, 1))
+    assert FinMap(3, 2, (0, 1, 1)) is f
+    assert FinMap(3, 2, [0, 1, 1]) is f
+    assert FinMap(dom=3, cod=2, table=iter((0, 1, 1))) is f
+    assert identity(2) is FinMap(2, 2, (0, 1))
+    assert compose(generators().s, generators().s) is identity(2)
+    assert enumerate_maps(3, 2)[3] is f
+    assert FinMap(0, 0) is identity(0)
+    # equality and hashing are the object's own
+    assert f != FinMap(3, 3, (0, 1, 1))
+    assert hash(f) == object.__hash__(f)
+
+
+def test_finmap_copy_and_pickle_return_interned():
+    f = FinMap(3, 4, (0, 3, 3))
+    assert copy.copy(f) is f
+    assert copy.deepcopy(f) is f
+    assert copy.deepcopy([f, (f,)])[1][0] is f
+    assert pickle.loads(pickle.dumps(f)) is f
+
+
+def test_finmap_is_immutable():
+    f = FinMap(1, 2, (1,))
+    with pytest.raises(AttributeError):
+        f.table = (0,)
+    with pytest.raises(AttributeError):
+        f.extra = 1
+    with pytest.raises(AttributeError):
+        del f.dom
+    assert f.table == (1,) and not hasattr(f, "__dict__")
+
+
+def test_finmap_class_patterns_and_surface():
+    f = FinMap(2, 3, (2, 0))
+    match f:
+        case FinMap(dom=2, cod=c, table=(2, 0)):
+            assert c == 3
+        case _:
+            pytest.fail("keyword pattern did not match")
+    match f:
+        case FinMap(d, c, t):
+            assert (d, c, t) == (2, 3, (2, 0))
+        case _:
+            pytest.fail("positional pattern did not match")
+    assert repr(f) == "FinMap(2->3 [2, 0])"
+    assert f.to_json() == {"dom": 2, "cod": 3, "table": [2, 0]}
+    assert [f(0), f(1)] == [2, 0]
 
 
 def test_enumerate_counts_and_order():

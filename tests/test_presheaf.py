@@ -5,9 +5,18 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
-from clone_forge.checks import CheckPolicy
-from clone_forge.clone import Budget, FreeClone, Signature, builtin_clone
-from clone_forge.fin_cat import FinMap, check_symmetric_monoid, enumerate_maps, generators, identity, old
+from clone_forge.checks import CheckPolicy, LawCheck, instance_stream
+from clone_forge.clone import Budget, FreeClone, Signature, builtin_clone, finite_clone_of_algebra
+from clone_forge.corpus import designed_mutants, meet_semilattice
+from clone_forge.fin_cat import (
+    FinMap,
+    check_symmetric_monoid,
+    compose,
+    enumerate_maps,
+    generators,
+    identity,
+    old,
+)
 from clone_forge.iso_bridge import s_functor
 from clone_forge.presheaf_f import (
     BulletPresheaf,
@@ -27,6 +36,42 @@ from clone_forge.presheaf_f import (
     strengths,
     truncate_presheaf,
 )
+from clone_forge.subst_algebra import check_presentation, truncate_algebra
+
+
+def reference_compose_law(P, law, bound, policy):
+    """The LawCheck of act-compose or compose-action, one act call per step.
+
+    Walks instance_stream element by element with the per-instance formula:
+    no hoisting, no composition cache.  act-compose names the maps (g, f)
+    and puts the stepwise value on the lhs; compose-action names them (f, g)
+    and puts the composite's value on the lhs.
+    """
+    mode, instances = None, 0
+    for a, b, c in itertools.product(range(bound + 1), repeat=3):
+        combo = f"{a}->{b}->{c}"
+        axes = [enumerate_maps(a, b), enumerate_maps(b, c), list(P.set(a))]
+        kind, stream = instance_stream(axes, policy, f"{law}|{combo}")
+        if kind != "vacuous":
+            mode = "sampled" if "sampled" in (mode, kind) else kind
+        for first, second, x in stream:
+            instances += 1
+            stepwise = P.act(second, P.act(first, x))
+            composite = P.act(compose(first, second), x)
+            if stepwise != composite:
+                if law == "act-compose":
+                    witness = {"g": first, "f": second, "x": x, "lhs": stepwise, "rhs": composite}
+                else:
+                    witness = {"f": first, "g": second, "x": x, "lhs": composite, "rhs": stepwise}
+                witness.update(law=law, combo=combo)
+                return LawCheck(law, False, mode, instances, witness)
+    return LawCheck(law, True, mode or "vacuous", instances)
+
+
+def assert_same_check(got, want):
+    assert got == want
+    if want.counterexample is not None:
+        assert list(got.counterexample) == list(want.counterexample)
 
 
 def test_representable_carriers_and_action():
@@ -57,6 +102,44 @@ def test_functoriality_catches_corrupted_table():
     check = report.check("compose-action")
     assert not check.passed
     assert {"f", "g", "x"} <= set(check.counterexample)
+    assert_same_check(check, reference_compose_law(bad, "compose-action", 3, CheckPolicy()))
+
+
+def test_compose_breaker_matches_reference():
+    alg = dict(designed_mutants())["act-compose"].algebra
+    policy = CheckPolicy(seed=0)
+    check = check_presentation(alg, 4, policy).check("act-compose")
+    assert (check.passed, check.mode, check.instances) == (False, "exhaustive", 179)
+    assert check.counterexample["combo"] == "1->3->4"
+    assert_same_check(check, reference_compose_law(alg.base, "act-compose", 4, policy))
+
+
+@pytest.mark.parametrize(
+    "name, sampled, exhaustive",
+    [("initial", 228_704, 488_848), ("meet", 286_552, 1_689_320)],
+)
+def test_composition_law_counts_pinned(name, sampled, exhaustive):
+    if name == "initial":
+        clone, budget = builtin_clone("initial"), None
+    else:
+        clone, budget = finite_clone_of_algebra(meet_semilattice(), 4), Budget(max_arity=4)
+    alg = truncate_algebra(s_functor(clone, budget), 4)
+    check = check_presentation(alg, 4, CheckPolicy(seed=0)).check("act-compose")
+    assert (check.passed, check.mode, check.instances) == (True, "sampled", sampled)
+    loader_policy = CheckPolicy(exhaustive_threshold=10_000_000)
+    check = check_functoriality(alg.base, 4, loader_policy).check("compose-action")
+    assert (check.passed, check.mode, check.instances) == (True, "exhaustive", exhaustive)
+
+
+def test_table_action_matches_act():
+    trunc = truncate_presheaf(representable_V(), 3)
+    for f in enumerate_maps(2, 3):
+        act = trunc.action(f)
+        assert [act(x) for x in trunc.set(2)] == [trunc.act(f, x) for x in trunc.set(2)]
+    with pytest.raises(StageRangeError):
+        trunc.action(FinMap(1, 4, (3,)))
+    V = representable_V()
+    assert V.action(old(2))(1) == V.act(old(2), 1)
 
 
 def test_functoriality_of_free_clone_presheaf():
