@@ -5,6 +5,7 @@ documented seeded sampling that kicks in above the per-family instance
 threshold, reported as such in each check's mode.
 """
 
+import hashlib
 import itertools
 import json
 import subprocess
@@ -43,6 +44,8 @@ from clone_forge.subst_algebra import (
 )
 
 FREE_SIG = Signature({"b": 2, "e": 0})
+# sha256 of `clone-forge demo --format json` stdout at default flags (no --seed)
+DEMO_SHA256 = "bc6378f163c446d01f8be6a7e6a57e2a0cc1148460d2c1c210824c54fbf16d72"
 
 
 def corpus_clones():
@@ -261,5 +264,6 @@ def test_criterion_10_cli_determinism():
         and second.returncode == 0
         and first.stdout == second.stdout
         and json.loads(first.stdout)["overall"] == "pass"
+        and hashlib.sha256(first.stdout.encode()).hexdigest() == DEMO_SHA256
     )
     record("criterion-10 cli-determinism", ok, time.perf_counter() - started, 300)
