@@ -28,7 +28,6 @@ from .clone import (
 )
 from .fin_cat import (
     FinMap,
-    MonoidCheckReport,
     ShapeError,
     check_symmetric_monoid,
     compose,

@@ -10,9 +10,9 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from collections.abc import Callable
 from dataclasses import dataclass, field
-
-from .fin_cat import FinMap
+from operator import itemgetter
 
 
 class CarrierUnavailable(ValueError):
@@ -97,33 +97,54 @@ def _merge_mode(current: str | None, new: str) -> str | None:
     return current
 
 
+@dataclass(frozen=True)
+class Group:
+    """Axes whose values enter a witness as the one value ``make(values)``."""
+
+    axes: list
+    make: Callable = tuple
+
+
 class LawRunner:
     """Accumulates one LawCheck from any number of instance families.
 
-    ``violation(*assignment)`` returns None when the law holds and a witness
-    dict otherwise; the first witness stops the law.
+    ``run`` draws instances from the product of ``axes``, where a Group
+    stands for several axes, and calls ``sides(*values)`` on each.  It
+    returns the pair (lhs, rhs); the law holds there when the two are equal.
+    The first unequal pair stops the law with a witness whose keys are the
+    space-separated ``names``, taken in order by the family's ``fixed``
+    values, one value per axis or Group, lhs and rhs; names that stop before
+    rhs leave it out.  The keys ``law`` and ``combo`` come last.
     """
 
-    def __init__(self, law: str, policy: CheckPolicy):
+    def __init__(self, law: str, policy: CheckPolicy, names: str = ""):
         self.law = law
         self.policy = policy
+        self.names = names.split()
+        self.fixed: tuple = ()
         self._mode: str | None = None
         self._instances = 0
         self._witness: dict | None = None
 
-    def run(self, combo: str, axes, violation) -> None:
+    def run(self, combo: str, axes, sides) -> None:
         if self._witness is not None:
             return
-        mode, stream = instance_stream(axes, self.policy, f"{self.law}|{combo}")
+        groups = [a if isinstance(a, Group) else Group([a], itemgetter(0)) for a in axes]
+        flat = [axis for group in groups for axis in group.axes]
+        mode, stream = instance_stream(flat, self.policy, f"{self.law}|{combo}")
         self._mode = _merge_mode(self._mode, mode)
-        for assignment in stream:
-            self._instances += 1
-            witness = violation(*assignment)
-            if witness is not None:
-                witness.setdefault("law", self.law)
-                witness.setdefault("combo", combo)
-                self._witness = witness
-                return
+        count = 0
+        for count, values in enumerate(stream, 1):
+            lhs, rhs = sides(*values)
+            if lhs != rhs:
+                named, at = list(self.fixed), 0
+                for group in groups:
+                    named.append(group.make(values[at : at + len(group.axes)]))
+                    at += len(group.axes)
+                witness = dict(zip(self.names, [*named, lhs, rhs]))
+                self._witness = {**witness, "law": self.law, "combo": combo}
+                break
+        self._instances += count
 
     def result(self) -> LawCheck:
         return LawCheck(
@@ -135,11 +156,25 @@ class LawRunner:
         )
 
 
+def check_law(law: str, policy: CheckPolicy, names: str, families) -> LawCheck:
+    """Check one law over its instance families, as LawRunner describes.
+
+    Each family is (combo, fixed, axes, sides).  combo labels the family in
+    the witness and in the sampling seed; fixed are the witness values that
+    stay put across the family, such as the stage m.
+    """
+    runner = LawRunner(law, policy, names)
+    for combo, fixed, axes, sides in families:
+        runner.fixed = fixed
+        runner.run(combo, axes, sides)
+    return runner.result()
+
+
 def describe(value):
     """Render a check value as JSON-compatible data for reports."""
     if value is None or isinstance(value, (bool, int, str)):
         return value
-    if isinstance(value, FinMap):
+    if hasattr(value, "to_json"):  # a FinMap
         return value.to_json()
     if isinstance(value, dict):
         return {str(k): describe(v) for k, v in value.items()}

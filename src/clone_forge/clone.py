@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import partial
 
-from .checks import CarrierUnavailable, CheckPolicy, LawRunner, Report
+from .checks import CarrierUnavailable, CheckPolicy, Group, Report, check_law
 
 
 class ContextError(ValueError):
@@ -123,7 +124,6 @@ class Budget:
 
     max_depth: int = 2
     max_arity: int = 3
-    sample_seed: int | None = None
 
     def __post_init__(self) -> None:
         if self.max_depth < 0 or self.max_arity < 0:
@@ -178,7 +178,7 @@ def free_mu(m: int, n: int, t: Term, us) -> Term:
 
 
 class Clone:
-    """Carriers C_n with substitution mu, projections iota and equality."""
+    """Carriers C_n with substitution mu and projections iota."""
 
     name = "clone"
 
@@ -190,9 +190,6 @@ class Clone:
 
     def iota(self, m: int, i: int):
         raise NotImplementedError
-
-    def eq(self, n: int, a, b) -> bool:
-        return a == b
 
 
 class FreeClone(Clone):
@@ -255,11 +252,14 @@ class FiniteAlgebra:
 
     def __post_init__(self) -> None:
         k = self.carrier_size
-        if k < 1:
-            raise ValueError("carrier must be non-empty")
+        if type(k) is not int or k < 1:
+            raise ValueError("carrier must be a non-empty integer size")
         for name, (arity, table) in list(self.operations.items()):
             table = tuple(table)
             self.operations[name] = (arity, table)
+            # bool and float entries would pass the range checks below
+            if type(arity) is not int or any(type(v) is not int for v in table):
+                raise ValueError(f"operation {name!r}: non-integer arity or table entry")
             if arity < 0 or len(table) != k**arity:
                 raise ValueError(f"operation {name!r}: table does not match arity")
             if any(not 0 <= v < k for v in table):
@@ -421,12 +421,15 @@ def builtin_clone(name: str) -> Clone:
     return _BUILTINS[name]()
 
 
-def _carriers_within(clone: Clone, budget: Budget, report: Report) -> dict[int, list]:
-    """Enumerate carriers up to max_arity, noting where enumeration stops."""
+def carriers_within(source, top: int, budget: Budget, report: Report) -> dict[int, list]:
+    """Carriers C_0, C_1, ... of source keyed by arity, up to C_top.
+
+    Enumeration stops, with a note in report, at the first unavailable carrier.
+    """
     carriers: dict[int, list] = {}
-    for n in range(budget.max_arity + 1):
+    for n in range(top + 1):
         try:
-            carriers[n] = list(clone.elems(n, budget))
+            carriers[n] = list(source.elems(n, budget))
         except CarrierUnavailable as exc:  # incomplete coverage, not failure
             report.notes.append(f"carrier C_{n} unavailable: {exc}")
             break
@@ -440,53 +443,37 @@ def clone_laws_check(
 ) -> Report:
     """Check associativity, projection and right identity of substitution."""
     budget = budget or Budget()
-    policy = policy or CheckPolicy(seed=budget.sample_seed or 0)
+    policy = policy or CheckPolicy()
     report = Report()
-    carriers = _carriers_within(clone, budget, report)
-    arities = sorted(carriers)
+    carriers = carriers_within(clone, budget.max_arity, budget, report)
+    mu = clone.mu
 
-    assoc = LawRunner("associativity", policy)
-    for l, m, n in itertools.product(arities, repeat=3):
-        axes = [carriers[l]] + [carriers[m]] * l + [carriers[n]] * m
+    def associativity(l, m, n, x, *vals):
+        ys, zs = vals[:l], vals[l:]
+        return mu(m, n, mu(l, m, x, ys), zs), mu(l, n, x, tuple(mu(m, n, y, zs) for y in ys))
 
-        def violated(*vals, l=l, m=m, n=n):
-            x, ys, zs = vals[0], vals[1 : 1 + l], vals[1 + l :]
-            lhs = clone.mu(m, n, clone.mu(l, m, x, ys), zs)
-            rhs = clone.mu(l, n, x, tuple(clone.mu(m, n, y, zs) for y in ys))
-            if not clone.eq(n, lhs, rhs):
-                return {"x": x, "ys": ys, "zs": zs, "lhs": lhs, "rhs": rhs}
-            return None
+    def projection(m, n, i, *xs):
+        return mu(m, n, clone.iota(m, i), xs), xs[i]
 
-        assoc.run(f"l={l},m={m},n={n}", axes, violated)
-    report.checks.append(assoc.result())
+    def right_identity(m, iotas, x):
+        return mu(m, m, x, iotas), x
 
-    proj = LawRunner("projection", policy)
-    for m, n in itertools.product(arities, repeat=2):
-        if m == 0:
-            continue
-        axes = [list(range(m))] + [carriers[n]] * m
-
-        def violated(i, *xs, m=m, n=n):
-            lhs = clone.mu(m, n, clone.iota(m, i), xs)
-            if not clone.eq(n, lhs, xs[i]):
-                return {"i": i, "xs": xs, "lhs": lhs, "rhs": xs[i]}
-            return None
-
-        proj.run(f"m={m},n={n}", axes, violated)
-    report.checks.append(proj.result())
-
-    rid = LawRunner("right-identity", policy)
-    for m in arities:
-        iotas = tuple(clone.iota(m, i) for i in range(m))
-
-        def violated(x, m=m, iotas=iotas):
-            lhs = clone.mu(m, m, x, iotas)
-            if not clone.eq(m, lhs, x):
-                return {"x": x, "lhs": lhs}
-            return None
-
-        rid.run(f"m={m}", [carriers[m]], violated)
-    report.checks.append(rid.result())
+    report.checks.append(check_law("associativity", policy, "x ys zs lhs rhs", (
+        (f"l={l},m={m},n={n}", (),
+         [carriers[l], Group([carriers[m]] * l), Group([carriers[n]] * m)],
+         partial(associativity, l, m, n))
+        for l, m, n in itertools.product(carriers, repeat=3)
+    )))
+    report.checks.append(check_law("projection", policy, "i xs lhs rhs", (
+        (f"m={m},n={n}", (), [list(range(m)), Group([carriers[n]] * m)],
+         partial(projection, m, n))
+        for m, n in itertools.product(carriers, repeat=2) if m
+    )))
+    report.checks.append(check_law("right-identity", policy, "x lhs", (
+        (f"m={m}", (), [carriers[m]],
+         partial(right_identity, m, tuple(clone.iota(m, i) for i in range(m))))
+        for m in carriers
+    )))
     return report
 
 
@@ -523,14 +510,6 @@ def theory_compose(clone: Clone, f: TheoryHom, g: TheoryHom) -> TheoryHom:
     )
 
 
-def _hom_eq(clone: Clone, a: TheoryHom, b: TheoryHom) -> bool:
-    return (
-        a.src == b.src
-        and a.dst == b.dst
-        and all(clone.eq(a.src, x, y) for x, y in zip(a.components, b.components))
-    )
-
-
 def theory_laws_check(
     clone: Clone,
     bound: int = 3,
@@ -540,49 +519,35 @@ def theory_laws_check(
 ) -> Report:
     """Associativity and identity laws of theory composition up to bound."""
     budget = budget or Budget(max_arity=bound)
-    policy = policy or CheckPolicy(seed=budget.sample_seed or 0)
+    policy = policy or CheckPolicy()
     comp = compose_fn or theory_compose
     report = Report()
-    carriers = {}
-    for n in range(bound + 1):
-        try:
-            carriers[n] = list(clone.elems(n, budget))
-        except CarrierUnavailable as exc:
-            report.notes.append(f"carrier C_{n} unavailable: {exc}")
-            break
-    objs = sorted(carriers)
+    carriers = carriers_within(clone, bound, budget, report)
 
-    assoc = LawRunner("hom-associativity", policy)
-    for a, b, c, d in itertools.product(objs, repeat=4):
-        axes = [carriers[c]] * d + [carriers[b]] * c + [carriers[a]] * b
+    def associativity(a, b, c, d, *vals):
+        f = TheoryHom(c, d, vals[:d])
+        g = TheoryHom(b, c, vals[d : d + c])
+        h = TheoryHom(a, b, vals[d + c :])
+        return comp(clone, comp(clone, f, g), h), comp(clone, f, comp(clone, g, h))
 
-        def violated(*vals, a=a, b=b, c=c, d=d):
-            f = TheoryHom(c, d, vals[:d])
-            g = TheoryHom(b, c, vals[d : d + c])
-            h = TheoryHom(a, b, vals[d + c :])
-            lhs = comp(clone, comp(clone, f, g), h)
-            rhs = comp(clone, f, comp(clone, g, h))
-            if not _hom_eq(clone, lhs, rhs):
-                return {"f": f, "g": g, "h": h, "lhs": lhs, "rhs": rhs}
-            return None
+    def unit(m, n, *vals):
+        f = TheoryHom(m, n, vals)
+        left = comp(clone, theory_identity(clone, n), f)
+        right = comp(clone, f, theory_identity(clone, m))
+        return (left, right), (f, f)
 
-        assoc.run(f"{a}->{b}->{c}->{d}", axes, violated)
-    report.checks.append(assoc.result())
+    def homs(m, n):
+        return Group([carriers[m]] * n, partial(TheoryHom, m, n))
 
-    unit = LawRunner("hom-identity", policy)
-    for m, n in itertools.product(objs, repeat=2):
-        axes = [carriers[m]] * n
-
-        def violated(*vals, m=m, n=n):
-            f = TheoryHom(m, n, vals)
-            left = comp(clone, theory_identity(clone, n), f)
-            right = comp(clone, f, theory_identity(clone, m))
-            if not (_hom_eq(clone, left, f) and _hom_eq(clone, right, f)):
-                return {"f": f, "left": left, "right": right}
-            return None
-
-        unit.run(f"{m}->{n}", axes, violated)
-    report.checks.append(unit.result())
+    report.checks.append(check_law("hom-associativity", policy, "f g h lhs rhs", (
+        (f"{a}->{b}->{c}->{d}", (), [homs(c, d), homs(b, c), homs(a, b)],
+         partial(associativity, a, b, c, d))
+        for a, b, c, d in itertools.product(carriers, repeat=4)
+    )))
+    report.checks.append(check_law("hom-identity", policy, "f lhs rhs", (
+        (f"{m}->{n}", (), [homs(m, n)], partial(unit, m, n))
+        for m, n in itertools.product(carriers, repeat=2)
+    )))
     return report
 
 
@@ -604,34 +569,21 @@ def clone_hom_check(
 ) -> Report:
     """Check that the family h(m, -) preserves projections and substitution."""
     budget = budget or Budget()
-    policy = policy or CheckPolicy(seed=budget.sample_seed or 0)
+    policy = policy or CheckPolicy()
     report = Report()
-    carriers = _carriers_within(src, budget, report)
-    arities = sorted(carriers)
+    carriers = carriers_within(src, budget.max_arity, budget, report)
 
-    iotas = LawRunner("iota-preservation", policy)
-    for m in arities:
-        def violated(i, m=m):
-            lhs = h(m, src.iota(m, i))
-            rhs = dst.iota(m, i)
-            if not dst.eq(m, lhs, rhs):
-                return {"m": m, "i": i, "lhs": lhs, "rhs": rhs}
-            return None
+    def iota(m, i):
+        return h(m, src.iota(m, i)), dst.iota(m, i)
 
-        iotas.run(f"m={m}", [list(range(m))], violated)
-    report.checks.append(iotas.result())
+    def mu(m, n, t, *us):
+        return h(n, src.mu(m, n, t, us)), dst.mu(m, n, h(m, t), tuple(h(n, u) for u in us))
 
-    mus = LawRunner("mu-preservation", policy)
-    for m, n in itertools.product(arities, repeat=2):
-        axes = [carriers[m]] + [carriers[n]] * m
-
-        def violated(t, *us, m=m, n=n):
-            lhs = h(n, src.mu(m, n, t, us))
-            rhs = dst.mu(m, n, h(m, t), tuple(h(n, u) for u in us))
-            if not dst.eq(n, lhs, rhs):
-                return {"t": t, "us": us, "lhs": lhs, "rhs": rhs}
-            return None
-
-        mus.run(f"m={m},n={n}", axes, violated)
-    report.checks.append(mus.result())
+    report.checks.append(check_law("iota-preservation", policy, "m i lhs rhs", (
+        (f"m={m}", (m,), [list(range(m))], partial(iota, m)) for m in carriers
+    )))
+    report.checks.append(check_law("mu-preservation", policy, "t us lhs rhs", (
+        (f"m={m},n={n}", (), [carriers[m], Group([carriers[n]] * m)], partial(mu, m, n))
+        for m, n in itertools.product(carriers, repeat=2)
+    )))
     return report

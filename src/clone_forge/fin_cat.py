@@ -12,6 +12,8 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 
+from .checks import LawCheck, Report
+
 
 class ShapeError(ValueError):
     """A map's endpoints do not match what an operation requires."""
@@ -182,40 +184,19 @@ def symmetric_monoid_diagrams(
     )
 
 
-@dataclass(frozen=True)
-class MonoidCheck:
-    law: str
-    passed: bool
-    counterexample: tuple[FinMap, FinMap] | None
-
-
-@dataclass(frozen=True)
-class MonoidCheckReport:
-    checks: tuple[MonoidCheck, ...]
-
-    @property
-    def overall(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def check(self, law: str) -> MonoidCheck:
-        for c in self.checks:
-            if c.law == law:
-                return c
-        raise KeyError(law)
-
-
-def check_symmetric_monoid(c: FinMap, w: FinMap, s: FinMap) -> MonoidCheckReport:
+def check_symmetric_monoid(c: FinMap, w: FinMap, s: FinMap) -> Report:
     """Decide all eight diagrams for a candidate triple by table composition.
 
-    A failed check carries the two unequal composites as its counterexample.
+    Each diagram is one exhaustive instance; a failed check's witness holds
+    the two unequal composites as lhs and rhs.
     """
     for cand, dom, cod in ((c, 2, 1), (w, 0, 1), (s, 2, 2)):
         if (cand.dom, cand.cod) != (dom, cod):
             raise ShapeError(f"expected a {dom}->{cod} map, got {cand}")
-    results = []
+    report = Report()
     for law, left, right in symmetric_monoid_diagrams(c, w, s):
         lhs = compose_all(left)
         rhs = compose_all(right)
-        ok = lhs == rhs
-        results.append(MonoidCheck(law, ok, None if ok else (lhs, rhs)))
-    return MonoidCheckReport(tuple(results))
+        witness = None if lhs == rhs else {"lhs": lhs, "rhs": rhs}
+        report.checks.append(LawCheck(law, witness is None, "exhaustive", 1, witness))
+    return report

@@ -72,10 +72,7 @@ def load_finite_algebra(path) -> FiniteAlgebra:
         )
         arity, table = spec["arity"], spec["table"]
         _expect(_is_int(arity) and arity >= 0, f"{path}: bad arity for {name!r}")
-        _expect(
-            isinstance(table, list) and all(_is_int(v) for v in table),
-            f"{path}: bad table for {name!r}",
-        )
+        _expect(isinstance(table, list), f"{path}: bad table for {name!r}")
         ops[name] = (arity, tuple(table))
     try:
         return FiniteAlgebra(carrier, ops)
@@ -199,14 +196,8 @@ def load_subst_algebra(path) -> TableSubstAlgebra:
             isinstance(s_raw, list),
             f"{path}: missing substitution table for stage {m}",
         )
-        _expect(
-            all(_is_int(v) for v in s_raw),
-            f"{path}: substitution table for stage {m} has a non-integer entry",
-        )
-        s_tables[m] = list(s_raw)
-        v_raw = data["v"].get(str(m))
-        _expect(_is_int(v_raw), f"{path}: missing or non-integer variable for stage {m}")
-        v_values[m] = v_raw
+        s_tables[m] = s_raw
+        v_values[m] = data["v"].get(str(m))
     try:
         return TableSubstAlgebra(P, s_tables, v_values, name=Path(str(path)).stem)
     except ValueError as exc:

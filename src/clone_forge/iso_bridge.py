@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import partial
 
-from .checks import CarrierUnavailable, CheckPolicy, LawRunner, Report
-from .clone import Budget, Clone, clone_hom_check
+from .checks import CheckPolicy, Group, Report, check_law
+from .clone import Budget, Clone, carriers_within, clone_hom_check
 from .fin_cat import FinMap, enumerate_maps
-from .presheaf_f import Presheaf, clamp_stage
+from .presheaf_f import Presheaf
 from .subst_algebra import SubstAlgebra, hom_check
 
 
@@ -133,9 +134,6 @@ class AlgebraClone(Clone):
         lifted = self.algebra.base.act(shift, t)
         return phi(PhiContext(self.algebra, m, n, lifted, us))
 
-    def eq(self, n, a, b):
-        return a == b
-
 
 def c_functor(algebra: SubstAlgebra) -> AlgebraClone:
     return AlgebraClone(algebra)
@@ -187,51 +185,27 @@ def roundtrip_clone(
     policy = policy or CheckPolicy()
     back = c_functor(s_functor(clone, budget))
     report = Report()
-    carriers = {}
-    for n in range(budget.max_arity + 1):
-        try:
-            carriers[n] = list(clone.elems(n, budget))
-        except CarrierUnavailable as exc:
-            report.notes.append(f"carrier C_{n} unavailable: {exc}")
-            break
-    arities = sorted(carriers)
+    carriers = carriers_within(clone, budget.max_arity, budget, report)
 
-    carrier_eq = LawRunner("carrier-agreement", policy)
-    for n in arities:
-        def violated(_ignored, n=n):
-            theirs = back.elems(n, budget)
-            if theirs != carriers[n]:
-                return {"n": n, "lhs": theirs, "rhs": carriers[n]}
-            return None
+    def carrier(n):
+        return back.elems(n, budget), carriers[n]
 
-        carrier_eq.run(f"n={n}", [[0]], violated)
-    report.checks.append(carrier_eq.result())
+    def iota(m, i):
+        return back.iota(m, i), clone.iota(m, i)
 
-    iota_eq = LawRunner("iota-agreement", policy)
-    for m in arities:
-        def violated(i, m=m):
-            lhs = back.iota(m, i)
-            rhs = clone.iota(m, i)
-            if not clone.eq(m, lhs, rhs):
-                return {"m": m, "i": i, "lhs": lhs, "rhs": rhs}
-            return None
+    def mu(m, n, t, *us):
+        return back.mu(m, n, t, us), clone.mu(m, n, t, us)
 
-        iota_eq.run(f"m={m}", [list(range(m))], violated)
-    report.checks.append(iota_eq.result())
-
-    mu_eq = LawRunner("mu-agreement", policy)
-    for m, n in itertools.product(arities, repeat=2):
-        axes = [carriers[m]] + [carriers[n]] * m
-
-        def violated(t, *us, m=m, n=n):
-            lhs = back.mu(m, n, t, us)
-            rhs = clone.mu(m, n, t, us)
-            if not clone.eq(n, lhs, rhs):
-                return {"t": t, "us": us, "lhs": lhs, "rhs": rhs}
-            return None
-
-        mu_eq.run(f"m={m},n={n}", axes, violated)
-    report.checks.append(mu_eq.result())
+    report.checks.append(check_law("carrier-agreement", policy, "n lhs rhs", (
+        (f"n={n}", (n,), [], partial(carrier, n)) for n in carriers
+    )))
+    report.checks.append(check_law("iota-agreement", policy, "m i lhs rhs", (
+        (f"m={m}", (m,), [list(range(m))], partial(iota, m)) for m in carriers
+    )))
+    report.checks.append(check_law("mu-agreement", policy, "t us lhs rhs", (
+        (f"m={m},n={n}", (), [carriers[m], Group([carriers[n]] * m)], partial(mu, m, n))
+        for m, n in itertools.product(carriers, repeat=2)
+    )))
     return report
 
 
@@ -241,51 +215,42 @@ def roundtrip_alg(
     budget: Budget | None = None,
     policy: CheckPolicy | None = None,
 ) -> Report:
-    """Translate an algebra to a clone and back; demand equality on the nose."""
+    """Translate an algebra to a clone and back; demand equality on the nose.
+
+    The clone of the algebra substitutes at arity (m,n) through stage n+m, so
+    checking up to bound reads stage 2*bound; on a stored algebra the bound
+    is clamped to half its top stage, with a note.
+    """
     budget = budget or Budget()
     policy = policy or CheckPolicy()
     back = s_functor(c_functor(algebra), budget)
     report = Report()
-    bound = clamp_stage(algebra, bound, report)
+    top = algebra.max_stage()
+    if top is not None and 2 * bound > top:
+        report.notes.append(
+            f"incomplete: bound {bound} clamped to {top // 2}: substitution at arity "
+            f"(m,n) reads stage n+m of the stored stages 0..{top}"
+        )
+        bound = top // 2
     A = {m: list(algebra.base.set(m)) for m in range(bound + 1)}
 
-    act_eq = LawRunner("act-agreement", policy)
-    for m, n in itertools.product(range(bound + 1), repeat=2):
-        axes = [enumerate_maps(m, n), A[m]]
+    def action(f, x):
+        return back.base.act(f, x), algebra.base.act(f, x)
 
-        def violated(f, x):
-            lhs = back.base.act(f, x)
-            rhs = algebra.base.act(f, x)
-            if lhs != rhs:
-                return {"f": f, "x": x, "lhs": lhs, "rhs": rhs}
-            return None
+    def substitution(m, x, y):
+        return back.s_at(m, x, y), algebra.s_at(m, x, y)
 
-        act_eq.run(f"{m}->{n}", axes, violated)
-    report.checks.append(act_eq.result())
+    def variable(m):
+        return back.v_at(m), algebra.v_at(m)
 
-    s_eq = LawRunner("subst-agreement", policy)
-    for m in range(bound):
-        axes = [A[m + 1], A[m]]
-
-        def violated(x, y, m=m):
-            lhs = back.s_at(m, x, y)
-            rhs = algebra.s_at(m, x, y)
-            if lhs != rhs:
-                return {"m": m, "x": x, "y": y, "lhs": lhs, "rhs": rhs}
-            return None
-
-        s_eq.run(f"m={m}", axes, violated)
-    report.checks.append(s_eq.result())
-
-    v_eq = LawRunner("variable-agreement", policy)
-    for m in range(bound):
-        def violated(_ignored, m=m):
-            lhs = back.v_at(m)
-            rhs = algebra.v_at(m)
-            if lhs != rhs:
-                return {"m": m, "lhs": lhs, "rhs": rhs}
-            return None
-
-        v_eq.run(f"m={m}", [[0]], violated)
-    report.checks.append(v_eq.result())
+    report.checks.append(check_law("act-agreement", policy, "f x lhs rhs", (
+        (f"{m}->{n}", (), [enumerate_maps(m, n), A[m]], action)
+        for m, n in itertools.product(range(bound + 1), repeat=2)
+    )))
+    report.checks.append(check_law("subst-agreement", policy, "m x y lhs rhs", (
+        (f"m={m}", (m,), [A[m + 1], A[m]], partial(substitution, m)) for m in range(bound)
+    )))
+    report.checks.append(check_law("variable-agreement", policy, "m lhs rhs", (
+        (f"m={m}", (m,), [], partial(variable, m)) for m in range(bound)
+    )))
     return report

@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
-from .checks import CarrierUnavailable, CheckPolicy, LawRunner, Report
+from .checks import CarrierUnavailable, CheckPolicy, Report, check_law
 from .fin_cat import (
     FinMap,
     ShapeError,
@@ -299,17 +299,16 @@ def clamp_stage(source, bound: int, report: Report) -> int:
     return bound
 
 
-def compose_violation(P: Presheaf, first: str, second: str, composite_lhs: bool):
-    """The LawRunner callback for act(first;second, x) = act(second, act(first, x)).
+def compose_sides(P: Presheaf, composite_lhs: bool):
+    """The sides callback for act(first;second, x) = act(second, act(first, x)).
 
     The callback takes (first map, second map, x).  Work that depends only on
     the maps is hoisted out of the per-element path: the composite is looked
     up once per pair of maps, at the pair's first instance, telling pairs
     apart by identity (maps are hash-consed), and each map's action is built
     once per callback.  An exhaustive stream holds a pair while x varies, so
-    most instances only evaluate the two sides and compare them.  The witness
-    keys the maps by the names first and second, and puts the composite's
-    value on the lhs when composite_lhs, else on the rhs.
+    most instances only evaluate the two sides.  The composite's value is the
+    lhs when composite_lhs, else the rhs.
     """
     last_f = last_g = act_first = act_second = act_composite = None
     actions = {}
@@ -320,7 +319,7 @@ def compose_violation(P: Presheaf, first: str, second: str, composite_lhs: bool)
             a = actions[f] = P.action(f)
         return a
 
-    def violated(f, g, x):
+    def sides(f, g, x):
         nonlocal last_f, last_g, act_first, act_second, act_composite
         if f is not last_f:
             act_first = action(f)
@@ -331,12 +330,9 @@ def compose_violation(P: Presheaf, first: str, second: str, composite_lhs: bool)
             last_g = g
         composite = act_composite(x)
         stepwise = act_second(act_first(x))
-        if composite != stepwise:
-            lhs, rhs = (composite, stepwise) if composite_lhs else (stepwise, composite)
-            return {first: f, second: g, "x": x, "lhs": lhs, "rhs": rhs}
-        return None
+        return (composite, stepwise) if composite_lhs else (stepwise, composite)
 
-    return violated
+    return sides
 
 
 def check_functoriality(
@@ -349,27 +345,18 @@ def check_functoriality(
     stages = range(bound + 1)
     carriers = {m: list(P.set(m)) for m in stages}
 
-    ident = LawRunner("identity-action", policy)
-    for m in stages:
-        def violated(x, m=m):
-            out = P.act(identity(m), x)
-            if out != x:
-                return {"m": m, "x": x, "lhs": out}
-            return None
+    def ident(f, x):
+        return P.act(f, x), x
 
-        ident.run(f"m={m}", [carriers[m]], violated)
-    report.checks.append(ident.result())
-
-    comp = LawRunner("compose-action", policy)
-    for m, n, k in itertools.product(stages, repeat=3):
-        axes = [enumerate_maps(m, n), enumerate_maps(n, k), carriers[m]]
-        comp.run(f"{m}->{n}->{k}", axes, compose_violation(P, "f", "g", True))
-    report.checks.append(comp.result())
+    report.checks.append(check_law("identity-action", policy, "m x lhs", (
+        (f"m={m}", (m,), [carriers[m]], partial(ident, identity(m))) for m in stages
+    )))
+    report.checks.append(check_law("compose-action", policy, "f g x lhs rhs", (
+        (f"{m}->{n}->{k}", (), [enumerate_maps(m, n), enumerate_maps(n, k), carriers[m]],
+         compose_sides(P, True))
+        for m, n, k in itertools.product(stages, repeat=3)
+    )))
     return report
-
-
-def _leg_dom(leg) -> int:
-    return leg[0].dom
 
 
 def _act_leg(P: Presheaf, m: int, leg, x):
@@ -392,30 +379,18 @@ def monoid_diagrams_pointwise(
     be tested: verdicts here must match the table-level checker verdict for
     any shape-correct triple.
     """
+
+    def legs(m, left, right, x):
+        return _act_leg(P, m, left, x), _act_leg(P, m, right, x)
+
     checks = []
     for law, left, right in symmetric_monoid_diagrams(c, w, s):
-        runner = LawRunner(f"delta-{law}", policy)
-        power = _leg_dom(left)
-        reach = max(_max_cod(left), _max_cod(right))
-        for m in range(max(bound - 1, 0)):
-            if not _available(P, m + reach):
-                continue
-            axes = [P.set(m + power)]
-
-            def violated(x, m=m, left=left, right=right):
-                lhs = _act_leg(P, m, left, x)
-                rhs = _act_leg(P, m, right, x)
-                if lhs != rhs:
-                    return {"m": m, "x": x, "lhs": lhs, "rhs": rhs}
-                return None
-
-            runner.run(f"m={m}", axes, violated)
-        checks.append(runner.result())
+        reach = max(max(step.dom, step.cod) for step in left + right)
+        checks.append(check_law(f"delta-{law}", policy, "m x lhs rhs", (
+            (f"m={m}", (m,), [P.set(m + left[0].dom)], partial(legs, m, left, right))
+            for m in range(max(bound - 1, 0)) if _available(P, m + reach)
+        )))
     return checks
-
-
-def _max_cod(leg) -> int:
-    return max(max(step.dom, step.cod) for step in leg)
 
 
 def check_delta_laws(
@@ -447,218 +422,79 @@ def check_delta_laws(
     dsPP = DeltaStructure(PP)
     st = Strengths(P, P)
     st_shift = Strengths(DeltaPresheaf(P), P)
-
-    str_mu = LawRunner("strength-mu", policy)
-    for m in range(max(bound - 1, 0)):
-        if not _available(P, m + 2):
-            continue
-        axes = [P.set(m + 2), P.set(m)]
-
-        def violated(a, y, m=m):
-            t = st_shift.right_at(m, a, y)
-            t = st.right_at(m + 1, *t)
-            lhs = dsPP.mu_at(m, t)
-            rhs = st.right_at(m, dsP.mu_at(m, a), y)
-            if lhs != rhs:
-                return {"m": m, "a": a, "y": y, "lhs": lhs, "rhs": rhs}
-            return None
-
-        str_mu.run(f"m={m}", axes, violated)
-    report.checks.append(str_mu.result())
-
-    str_eta = LawRunner("strength-eta", policy)
-    for m in range(max(bound - 1, 0)):
-        if not _available(P, m + 1):
-            continue
-        axes = [P.set(m), P.set(m)]
-
-        def violated(x, y, m=m):
-            lhs = st.right_at(m, dsP.eta_at(m, x), y)
-            rhs = dsPP.eta_at(m, (x, y))
-            if lhs != rhs:
-                return {"m": m, "x": x, "y": y, "lhs": lhs, "rhs": rhs}
-            return None
-
-        str_eta.run(f"m={m}", axes, violated)
-    report.checks.append(str_eta.result())
-
-    str_swap = LawRunner("strength-swap", policy)
-    for m in range(max(bound - 1, 0)):
-        if not _available(P, m + 2):
-            continue
-        axes = [P.set(m + 2), P.set(m)]
-
-        def violated(a, y, m=m):
-            t = st_shift.right_at(m, a, y)
-            t = st.right_at(m + 1, *t)
-            lhs = dsPP.swap_at(m, t)
-            u = st_shift.right_at(m, dsP.swap_at(m, a), y)
-            rhs = st.right_at(m + 1, *u)
-            if lhs != rhs:
-                return {"m": m, "a": a, "y": y, "lhs": lhs, "rhs": rhs}
-            return None
-
-        str_swap.run(f"m={m}", axes, violated)
-    report.checks.append(str_swap.result())
-
-    bullet = BulletPresheaf(P)
-    dsB = DeltaStructure(bullet)
+    dsB = DeltaStructure(BulletPresheaf(P))
     st_shift_pair = Strengths(DeltaPresheaf(P), DeltaPresheaf(P))
 
-    dist_mu = LawRunner("dist-mu", policy)
-    for m in range(max(bound - 1, 0)):
-        if not _available(P, m + 3):
-            continue
-        axes = [P.set(m + 3), P.set(m + 2)]
+    def strength_mu(m, a, y):
+        t = st.right_at(m + 1, *st_shift.right_at(m, a, y))
+        return dsPP.mu_at(m, t), st.right_at(m, dsP.mu_at(m, a), y)
 
-        def violated(a, b, m=m):
-            t = st.dist_at(m + 1, a, b)
-            t = st_shift_pair.dist_at(m, *t)
-            lhs = (dsP.mu_at(m + 1, t[0]), dsP.mu_at(m, t[1]))
-            u = dsB.mu_at(m, (a, b))
-            rhs = st.dist_at(m, *u)
-            if lhs != rhs:
-                return {"m": m, "a": a, "b": b, "lhs": lhs, "rhs": rhs}
-            return None
+    def strength_eta(m, x, y):
+        return st.right_at(m, dsP.eta_at(m, x), y), dsPP.eta_at(m, (x, y))
 
-        dist_mu.run(f"m={m}", axes, violated)
-    report.checks.append(dist_mu.result())
+    def strength_swap(m, a, y):
+        lhs = dsPP.swap_at(m, st.right_at(m + 1, *st_shift.right_at(m, a, y)))
+        u = st_shift.right_at(m, dsP.swap_at(m, a), y)
+        return lhs, st.right_at(m + 1, *u)
 
-    dist_eta = LawRunner("dist-eta", policy)
-    for m in range(max(bound - 1, 0)):
-        if not _available(P, m + 2):
-            continue
-        axes = [P.set(m + 1), P.set(m)]
+    def dist_mu(m, a, b):
+        t = st_shift_pair.dist_at(m, *st.dist_at(m + 1, a, b))
+        lhs = (dsP.mu_at(m + 1, t[0]), dsP.mu_at(m, t[1]))
+        return lhs, st.dist_at(m, *dsB.mu_at(m, (a, b)))
 
-        def violated(x1, x0, m=m):
-            u = dsB.eta_at(m, (x1, x0))
-            lhs = st.dist_at(m, *u)
-            rhs = (dsP.eta_at(m + 1, x1), dsP.eta_at(m, x0))
-            if lhs != rhs:
-                return {"m": m, "x1": x1, "x0": x0, "lhs": lhs, "rhs": rhs}
-            return None
+    def dist_eta(m, x1, x0):
+        lhs = st.dist_at(m, *dsB.eta_at(m, (x1, x0)))
+        return lhs, (dsP.eta_at(m + 1, x1), dsP.eta_at(m, x0))
 
-        dist_eta.run(f"m={m}", axes, violated)
-    report.checks.append(dist_eta.result())
+    def dist_swap(m, a, b):
+        t = st_shift_pair.dist_at(m, *st.dist_at(m + 1, a, b))
+        lhs = (dsP.swap_at(m + 1, t[0]), dsP.swap_at(m, t[1]))
+        u = st.dist_at(m + 1, *dsB.swap_at(m, (a, b)))
+        return lhs, st_shift_pair.dist_at(m, *u)
 
-    dist_swap = LawRunner("dist-swap", policy)
-    for m in range(max(bound - 1, 0)):
-        if not _available(P, m + 3):
-            continue
-        axes = [P.set(m + 3), P.set(m + 2)]
+    def ell_roundtrip(m, pair):
+        return ell_inverse(m, ell(m, pair)), pair
 
-        def violated(a, b, m=m):
-            t = st.dist_at(m + 1, a, b)
-            t = st_shift_pair.dist_at(m, *t)
-            lhs = (dsP.swap_at(m + 1, t[0]), dsP.swap_at(m, t[1]))
-            u = dsB.swap_at(m, (a, b))
-            u = st.dist_at(m + 1, *u)
-            rhs = st_shift_pair.dist_at(m, *u)
-            if lhs != rhs:
-                return {"m": m, "a": a, "b": b, "lhs": lhs, "rhs": rhs}
-            return None
+    # (law, witness names, stages above m that must exist, axis stages - m, sides)
+    stagewise = (
+        ("strength-mu", "a y", 2, (2, 0), strength_mu),
+        ("strength-eta", "x y", 1, (0, 0), strength_eta),
+        ("strength-swap", "a y", 2, (2, 0), strength_swap),
+        ("dist-mu", "a b", 3, (3, 2), dist_mu),
+        ("dist-eta", "x1 x0", 2, (1, 0), dist_eta),
+        ("dist-swap", "a b", 3, (3, 2), dist_swap),
+    )
+    for law, names, reach, offsets, sides in stagewise:
+        report.checks.append(check_law(law, policy, f"m {names} lhs rhs", (
+            (f"m={m}", (m,), [P.set(m + k) for k in offsets], partial(sides, m))
+            for m in range(max(bound - 1, 0)) if _available(P, m + reach)
+        )))
+    report.checks.append(check_law("ell-roundtrip", policy, "m pair lhs", (
+        (f"m={m}", (m,), [PP.set(m + 1)], partial(ell_roundtrip, m))
+        for m in range(bound) if _available(P, m + 1)
+    )))
 
-        dist_swap.run(f"m={m}", axes, violated)
-    report.checks.append(dist_swap.result())
+    # stage naturality of the right, left and bullet strengths and of the
+    # swap: sigma_n(act(f, xs)) = act(f, sigma_m(xs)), where each argument and
+    # each result of sigma at stage m + k is acted on by f shifted k times
+    def natural(sigma, ins, outs, m, n, f, *xs):
+        fs = (f, shifted(f), shifted(shifted(f)))
+        lhs = sigma(n, *[P.act(fs[k], x) for k, x in zip(ins, xs)])
+        return lhs, tuple(P.act(fs[k], y) for k, y in zip(outs, sigma(m, *xs)))
 
-    ell_check = LawRunner("ell-roundtrip", policy)
-    for m in range(bound):
-        if not _available(P, m + 1):
-            continue
-        axes = [PP.set(m + 1)]
-
-        def violated(pair, m=m):
-            back = ell_inverse(m, ell(m, pair))
-            if back != pair:
-                return {"m": m, "pair": pair, "lhs": back}
-            return None
-
-        ell_check.run(f"m={m}", axes, violated)
-    report.checks.append(ell_check.result())
-
-    report.checks.extend(_strength_naturality(P, bound, policy))
+    # (law, witness names after f, stages above m and n that must exist,
+    #  strength map, shifts of its arguments, shifts of its results)
+    naturality = (
+        ("strength-naturality", "a y", 1, st.right_at, (1, 0), (1, 1)),
+        ("left-strength-naturality", "x b", 1, st.left_at, (0, 1), (1, 1)),
+        ("bullet-strength-naturality", "a x y", 1, st.bullet_at, (1, 0, 0), (1, 1, 0, 0)),
+        ("dist-naturality", "a b", 2, st.dist_at, (2, 1), (2, 1)),
+    )
+    for law, names, reach, sigma, ins, outs in naturality:
+        report.checks.append(check_law(law, policy, f"f {names} lhs rhs", (
+            (f"{m}->{n}", (), [enumerate_maps(m, n), *(P.set(m + k) for k in ins)],
+             partial(natural, sigma, ins, outs, m, n))
+            for m, n in itertools.product(range(bound), repeat=2)
+            if _available(P, m + reach) and _available(P, n + reach)
+        )))
     return report
-
-
-def _strength_naturality(P: Presheaf, bound: int, policy: CheckPolicy) -> list:
-    """Stage naturality of right/left/bullet strengths and the swap law."""
-    st = Strengths(P, P)
-    PP = ProductPresheaf(P, P)
-    checks = []
-
-    right = LawRunner("strength-naturality", policy)
-    for m, n in itertools.product(range(bound), repeat=2):
-        if not (_available(P, m + 1) and _available(P, n + 1)):
-            continue
-        axes = [enumerate_maps(m, n), P.set(m + 1), P.set(m)]
-
-        def violated(f, a, y, m=m, n=n):
-            lhs = st.right_at(n, P.act(shifted(f), a), P.act(f, y))
-            rhs = PP.act(shifted(f), st.right_at(m, a, y))
-            if lhs != rhs:
-                return {"f": f, "a": a, "y": y, "lhs": lhs, "rhs": rhs}
-            return None
-
-        right.run(f"{m}->{n}", axes, violated)
-    checks.append(right.result())
-
-    left = LawRunner("left-strength-naturality", policy)
-    for m, n in itertools.product(range(bound), repeat=2):
-        if not (_available(P, m + 1) and _available(P, n + 1)):
-            continue
-        axes = [enumerate_maps(m, n), P.set(m), P.set(m + 1)]
-
-        def violated(f, x, b, m=m, n=n):
-            lhs = st.left_at(n, P.act(f, x), P.act(shifted(f), b))
-            rhs = PP.act(shifted(f), st.left_at(m, x, b))
-            if lhs != rhs:
-                return {"f": f, "x": x, "b": b, "lhs": lhs, "rhs": rhs}
-            return None
-
-        left.run(f"{m}->{n}", axes, violated)
-    checks.append(left.result())
-
-    bullet = LawRunner("bullet-strength-naturality", policy)
-    for m, n in itertools.product(range(bound), repeat=2):
-        if not (_available(P, m + 1) and _available(P, n + 1)):
-            continue
-        axes = [enumerate_maps(m, n), P.set(m + 1), P.set(m), P.set(m)]
-
-        def violated(f, a, x, y, m=m, n=n):
-            lhs = st.bullet_at(
-                n, P.act(shifted(f), a), P.act(f, x), P.act(f, y)
-            )
-            got = st.bullet_at(m, a, x, y)
-            rhs = (
-                P.act(shifted(f), got[0]),
-                P.act(shifted(f), got[1]),
-                P.act(f, got[2]),
-                P.act(f, got[3]),
-            )
-            if lhs != rhs:
-                return {"f": f, "a": a, "x": x, "y": y, "lhs": lhs, "rhs": rhs}
-            return None
-
-        bullet.run(f"{m}->{n}", axes, violated)
-    checks.append(bullet.result())
-
-    dist = LawRunner("dist-naturality", policy)
-    st_self = Strengths(P, P)
-    for m, n in itertools.product(range(bound), repeat=2):
-        if not (_available(P, m + 2) and _available(P, n + 2)):
-            continue
-        axes = [enumerate_maps(m, n), P.set(m + 2), P.set(m + 1)]
-
-        def violated(f, a, b, m=m, n=n):
-            f1 = shifted(f)
-            f2 = shifted(f1)
-            lhs = st_self.dist_at(n, P.act(f2, a), P.act(f1, b))
-            got = st_self.dist_at(m, a, b)
-            rhs = (P.act(f2, got[0]), P.act(f1, got[1]))
-            if lhs != rhs:
-                return {"f": f, "a": a, "b": b, "lhs": lhs, "rhs": rhs}
-            return None
-
-        dist.run(f"{m}->{n}", axes, violated)
-    checks.append(dist.result())
-    return checks

@@ -10,8 +10,9 @@ components; a documented mapping links the two for verdict comparison.
 from __future__ import annotations
 
 import itertools
+from functools import partial
 
-from .checks import CheckPolicy, LawRunner, Report
+from .checks import CheckPolicy, Report, check_law
 from .fin_cat import FinMap, enumerate_maps, identity, new, shifted
 from .presheaf_f import (
     DeltaPresheaf,
@@ -20,7 +21,7 @@ from .presheaf_f import (
     Strengths,
     TruncatedPresheaf,
     clamp_stage,
-    compose_violation,
+    compose_sides,
     insert_map,
     merge_map,
     swap_map,
@@ -82,10 +83,14 @@ class TableSubstAlgebra(SubstAlgebra):
             table = self.s_tables.get(m)
             if table is None or len(table) != rows * cols:
                 raise ValueError(f"substitution table at stage {m} has wrong shape")
+            # bool and float entries would pass the range checks below
+            if any(type(v) is not int for v in table):
+                raise ValueError(f"substitution table at stage {m} has a non-integer entry")
             if any(not 0 <= v < cols for v in table) and cols > 0:
                 raise ValueError(f"substitution table at stage {m} escapes carrier")
-            if m not in self.v_values or not 0 <= self.v_values[m] < rows:
-                raise ValueError(f"variable at stage {m} missing or out of range")
+            v = self.v_values.get(m)
+            if type(v) is not int or not 0 <= v < rows:
+                raise ValueError(f"variable at stage {m} missing, non-integer or out of range")
 
     def s_at(self, m, x, y):
         cols = self.base.carrier_sizes[m]
@@ -176,101 +181,58 @@ def check_presentation(
     bound = clamp_stage(alg, bound, report)
     A = {m: list(alg.base.set(m)) for m in range(bound + 1)}
     act = alg.base.act
+    s_at = alg.s_at
     nu = alg.v_at(0)
+    nus = {m: act(new(m), nu) for m in range(bound)}  # nu renamed into stage m+1
 
-    def nu_at(m):
-        return act(new(m), nu)
+    def ident(f, x):
+        return act(f, x), x
 
-    comp = LawRunner("act-compose", policy)
-    for l, m, n in itertools.product(range(bound + 1), repeat=3):
-        axes = [enumerate_maps(l, m), enumerate_maps(m, n), A[l]]
-        comp.run(f"{l}->{m}->{n}", axes, compose_violation(alg.base, "g", "f", False))
-    report.checks.append(comp.result())
+    def naturality(m, n, f, x, y):
+        return act(f, s_at(m, x, y)), s_at(n, act(shifted(f), x), act(f, y))
 
-    ident = LawRunner("act-identity", policy)
-    for m in range(bound + 1):
-        def violated(x, m=m):
-            out = act(identity(m), x)
-            if out != x:
-                return {"m": m, "x": x, "lhs": out}
-            return None
+    def unit(m, vm, x):
+        return s_at(m, vm, x), x
 
-        ident.run(f"m={m}", [A[m]], violated)
-    report.checks.append(ident.result())
+    def contraction(m, vm, merge, x):
+        return s_at(m + 1, x, vm), act(merge, x)
 
-    nat = LawRunner("naturality", policy)
-    for m, n in itertools.product(range(bound), repeat=2):
-        axes = [enumerate_maps(m, n), A[m + 1], A[m]]
+    def weakening(m, pad, x, y):
+        return s_at(m, act(pad, x), y), x
 
-        def violated(f, x, y, m=m, n=n):
-            lhs = act(f, alg.s_at(m, x, y))
-            rhs = alg.s_at(n, act(shifted(f), x), act(f, y))
-            if lhs != rhs:
-                return {"f": f, "x": x, "y": y, "lhs": lhs, "rhs": rhs}
-            return None
+    def associativity(m, swap, pad, x, y, z):
+        lhs = s_at(m, s_at(m + 1, x, y), z)
+        return lhs, s_at(m, s_at(m + 1, act(swap, x), act(pad, z)), s_at(m, y, z))
 
-        nat.run(f"{m}->{n}", axes, violated)
-    report.checks.append(nat.result())
-
-    unit = LawRunner("unit", policy)
-    for m in range(bound):
-        vm = nu_at(m)
-
-        def violated(x, m=m, vm=vm):
-            lhs = alg.s_at(m, vm, x)
-            if lhs != x:
-                return {"m": m, "x": x, "lhs": lhs}
-            return None
-
-        unit.run(f"m={m}", [A[m]], violated)
-    report.checks.append(unit.result())
-
-    contr = LawRunner("contraction", policy)
-    for m in range(max(bound - 1, 0)):
-        vm = nu_at(m)
-        merge = merge_map(m)
-
-        def violated(x, m=m, vm=vm, merge=merge):
-            lhs = alg.s_at(m + 1, x, vm)
-            rhs = act(merge, x)
-            if lhs != rhs:
-                return {"m": m, "x": x, "lhs": lhs, "rhs": rhs}
-            return None
-
-        contr.run(f"m={m}", [A[m + 2]], violated)
-    report.checks.append(contr.result())
-
-    weak = LawRunner("weakening", policy)
-    for m in range(bound):
-        pad = insert_map(m)
-
-        def violated(x, y, m=m, pad=pad):
-            lhs = alg.s_at(m, act(pad, x), y)
-            if lhs != x:
-                return {"m": m, "x": x, "y": y, "lhs": lhs}
-            return None
-
-        weak.run(f"m={m}", [A[m], A[m]], violated)
-    report.checks.append(weak.result())
-
-    assoc = LawRunner("associativity", policy)
-    for m in range(max(bound - 1, 0)):
-        swap = swap_map(m)
-        pad = insert_map(m)
-
-        def violated(x, y, z, m=m, swap=swap, pad=pad):
-            lhs = alg.s_at(m, alg.s_at(m + 1, x, y), z)
-            rhs = alg.s_at(
-                m,
-                alg.s_at(m + 1, act(swap, x), act(pad, z)),
-                alg.s_at(m, y, z),
-            )
-            if lhs != rhs:
-                return {"m": m, "x": x, "y": y, "z": z, "lhs": lhs, "rhs": rhs}
-            return None
-
-        assoc.run(f"m={m}", [A[m + 2], A[m + 1], A[m]], violated)
-    report.checks.append(assoc.result())
+    stages = range(bound + 1)
+    report.checks.append(check_law("act-compose", policy, "g f x lhs rhs", (
+        (f"{l}->{m}->{n}", (), [enumerate_maps(l, m), enumerate_maps(m, n), A[l]],
+         compose_sides(alg.base, False))
+        for l, m, n in itertools.product(stages, repeat=3)
+    )))
+    report.checks.append(check_law("act-identity", policy, "m x lhs", (
+        (f"m={m}", (m,), [A[m]], partial(ident, identity(m))) for m in stages
+    )))
+    report.checks.append(check_law("naturality", policy, "f x y lhs rhs", (
+        (f"{m}->{n}", (), [enumerate_maps(m, n), A[m + 1], A[m]], partial(naturality, m, n))
+        for m, n in itertools.product(range(bound), repeat=2)
+    )))
+    report.checks.append(check_law("unit", policy, "m x lhs", (
+        (f"m={m}", (m,), [A[m]], partial(unit, m, nus[m])) for m in range(bound)
+    )))
+    report.checks.append(check_law("contraction", policy, "m x lhs rhs", (
+        (f"m={m}", (m,), [A[m + 2]], partial(contraction, m, nus[m], merge_map(m)))
+        for m in range(max(bound - 1, 0))
+    )))
+    report.checks.append(check_law("weakening", policy, "m x y lhs", (
+        (f"m={m}", (m,), [A[m], A[m]], partial(weakening, m, insert_map(m)))
+        for m in range(bound)
+    )))
+    report.checks.append(check_law("associativity", policy, "m x y z lhs rhs", (
+        (f"m={m}", (m,), [A[m + 2], A[m + 1], A[m]],
+         partial(associativity, m, swap_map(m), insert_map(m)))
+        for m in range(max(bound - 1, 0))
+    )))
     return report
 
 
@@ -294,76 +256,46 @@ def check_diagrams(
     report = Report(mode="diagrams")
     bound = clamp_stage(alg, bound, report)
     A = {m: list(alg.base.set(m)) for m in range(bound + 1)}
-    act = alg.base.act
+    s_at = alg.s_at
     ds = DeltaStructure(alg.base)
     st = Strengths(alg.base, alg.base)
     st_shift = Strengths(DeltaPresheaf(alg.base), alg.base)
 
-    left_unit = LawRunner("left-unit-diagram", policy)
-    for m in range(bound):
-        vm = alg.v_at(m)
+    def left_unit(m, vm, a):
+        return s_at(m, vm, a), a
 
-        def violated(a, m=m, vm=vm):
-            lhs = alg.s_at(m, vm, a)
-            if lhs != a:
-                return {"m": m, "a": a, "lhs": lhs}
-            return None
+    def contraction(m, vm, x):
+        return s_at(m + 1, x, vm), ds.mu_at(m, x)
 
-        left_unit.run(f"m={m}", [A[m]], violated)
-    report.checks.append(left_unit.result())
+    def evaluation(m, vm, t):
+        return s_at(m + 1, *st_shift.left_at(m, t, vm)), t
 
-    contraction = LawRunner("contraction-diagram", policy)
-    for m in range(max(bound - 1, 0)):
-        vm = alg.v_at(m)
+    def weakening(m, x, y):
+        return s_at(m, ds.eta_at(m, x), y), x
 
-        def violated(x, m=m, vm=vm):
-            lhs = alg.s_at(m + 1, x, vm)
-            rhs = ds.mu_at(m, x)
-            if lhs != rhs:
-                return {"m": m, "x": x, "lhs": lhs, "rhs": rhs}
-            return None
+    def associativity(m, x, y, z):
+        lhs = s_at(m, s_at(m + 1, x, y), z)
+        swapped, kept = st.dist_at(m, x, y)
+        a1, a2, a3, a4 = st_shift.bullet_at(m, swapped, kept, z)
+        return lhs, s_at(m, s_at(m + 1, a1, a2), s_at(m, a3, a4))
 
-        contraction.run(f"m={m}", [A[m + 2]], violated)
-    report.checks.append(contraction.result())
-
-    eval_diag = LawRunner("eval-diagram", policy)
-    for m in range(max(bound - 1, 0)):
-        vm = alg.v_at(m)
-
-        def violated(t, m=m, vm=vm):
-            weakened, var = st_shift.left_at(m, t, vm)
-            lhs = alg.s_at(m + 1, weakened, var)
-            if lhs != t:
-                return {"m": m, "t": t, "lhs": lhs}
-            return None
-
-        eval_diag.run(f"m={m}", [A[m + 1]], violated)
-    report.checks.append(eval_diag.result())
-
-    weakening = LawRunner("weakening-diagram", policy)
-    for m in range(bound):
-        def violated(x, y, m=m):
-            lhs = alg.s_at(m, ds.eta_at(m, x), y)
-            if lhs != x:
-                return {"m": m, "x": x, "y": y, "lhs": lhs}
-            return None
-
-        weakening.run(f"m={m}", [A[m], A[m]], violated)
-    report.checks.append(weakening.result())
-
-    assoc = LawRunner("assoc-diagram", policy)
-    for m in range(max(bound - 1, 0)):
-        def violated(x, y, z, m=m):
-            lhs = alg.s_at(m, alg.s_at(m + 1, x, y), z)
-            swapped, kept = st.dist_at(m, x, y)
-            a1, a2, a3, a4 = st_shift.bullet_at(m, swapped, kept, z)
-            rhs = alg.s_at(m, alg.s_at(m + 1, a1, a2), alg.s_at(m, a3, a4))
-            if lhs != rhs:
-                return {"m": m, "x": x, "y": y, "z": z, "lhs": lhs, "rhs": rhs}
-            return None
-
-        assoc.run(f"m={m}", [A[m + 2], A[m + 1], A[m]], violated)
-    report.checks.append(assoc.result())
+    lower = range(max(bound - 1, 0))  # stages m with m + 2 <= bound
+    report.checks.append(check_law("left-unit-diagram", policy, "m a lhs", (
+        (f"m={m}", (m,), [A[m]], partial(left_unit, m, alg.v_at(m))) for m in range(bound)
+    )))
+    report.checks.append(check_law("contraction-diagram", policy, "m x lhs rhs", (
+        (f"m={m}", (m,), [A[m + 2]], partial(contraction, m, alg.v_at(m))) for m in lower
+    )))
+    report.checks.append(check_law("eval-diagram", policy, "m t lhs", (
+        (f"m={m}", (m,), [A[m + 1]], partial(evaluation, m, alg.v_at(m))) for m in lower
+    )))
+    report.checks.append(check_law("weakening-diagram", policy, "m x y lhs", (
+        (f"m={m}", (m,), [A[m], A[m]], partial(weakening, m)) for m in range(bound)
+    )))
+    report.checks.append(check_law("assoc-diagram", policy, "m x y z lhs rhs", (
+        (f"m={m}", (m,), [A[m + 2], A[m + 1], A[m]], partial(associativity, m))
+        for m in lower
+    )))
     return report
 
 
@@ -374,19 +306,14 @@ def check_v_naturality(
     policy = policy or CheckPolicy()
     report = Report()
     bound = clamp_stage(alg, bound, report)
-    runner = LawRunner("v-naturality", policy)
-    for m, n in itertools.product(range(bound), repeat=2):
-        axes = [enumerate_maps(m, n)]
 
-        def violated(f, m=m, n=n):
-            lhs = alg.base.act(shifted(f), alg.v_at(m))
-            rhs = alg.v_at(n)
-            if lhs != rhs:
-                return {"f": f, "lhs": lhs, "rhs": rhs}
-            return None
+    def naturality(m, n, f):
+        return alg.base.act(shifted(f), alg.v_at(m)), alg.v_at(n)
 
-        runner.run(f"{m}->{n}", axes, violated)
-    report.checks.append(runner.result())
+    report.checks.append(check_law("v-naturality", policy, "f lhs rhs", (
+        (f"{m}->{n}", (), [enumerate_maps(m, n)], partial(naturality, m, n))
+        for m, n in itertools.product(range(bound), repeat=2)
+    )))
     return report
 
 
@@ -403,45 +330,25 @@ def hom_check(
     bound = min(clamp_stage(src, bound, report), clamp_stage(dst, bound, report))
     A = {m: list(src.base.set(m)) for m in range(bound + 1)}
 
-    nat = LawRunner("hom-naturality", policy)
-    for m, n in itertools.product(range(bound + 1), repeat=2):
-        axes = [enumerate_maps(m, n), A[m]]
+    def naturality(m, n, f, x):
+        return h(n, src.base.act(f, x)), dst.base.act(f, h(m, x))
 
-        def violated(f, x, m=m, n=n):
-            lhs = h(n, src.base.act(f, x))
-            rhs = dst.base.act(f, h(m, x))
-            if lhs != rhs:
-                return {"f": f, "x": x, "lhs": lhs, "rhs": rhs}
-            return None
+    def variable(m):
+        return h(m + 1, src.v_at(m)), dst.v_at(m)
 
-        nat.run(f"{m}->{n}", axes, violated)
-    report.checks.append(nat.result())
+    def substitution(m, x, y):
+        return h(m, src.s_at(m, x, y)), dst.s_at(m, h(m + 1, x), h(m, y))
 
-    var = LawRunner("hom-variable", policy)
-    for m in range(bound):
-        def violated(_ignored, m=m):
-            lhs = h(m + 1, src.v_at(m))
-            rhs = dst.v_at(m)
-            if lhs != rhs:
-                return {"m": m, "lhs": lhs, "rhs": rhs}
-            return None
-
-        var.run(f"m={m}", [[0]], violated)
-    report.checks.append(var.result())
-
-    sub = LawRunner("hom-substitution", policy)
-    for m in range(bound):
-        axes = [A[m + 1], A[m]]
-
-        def violated(x, y, m=m):
-            lhs = h(m, src.s_at(m, x, y))
-            rhs = dst.s_at(m, h(m + 1, x), h(m, y))
-            if lhs != rhs:
-                return {"m": m, "x": x, "y": y, "lhs": lhs, "rhs": rhs}
-            return None
-
-        sub.run(f"m={m}", axes, violated)
-    report.checks.append(sub.result())
+    report.checks.append(check_law("hom-naturality", policy, "f x lhs rhs", (
+        (f"{m}->{n}", (), [enumerate_maps(m, n), A[m]], partial(naturality, m, n))
+        for m, n in itertools.product(range(bound + 1), repeat=2)
+    )))
+    report.checks.append(check_law("hom-variable", policy, "m lhs rhs", (
+        (f"m={m}", (m,), [], partial(variable, m)) for m in range(bound)
+    )))
+    report.checks.append(check_law("hom-substitution", policy, "m x y lhs rhs", (
+        (f"m={m}", (m,), [A[m + 1], A[m]], partial(substitution, m)) for m in range(bound)
+    )))
     return report
 
 

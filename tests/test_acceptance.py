@@ -71,7 +71,7 @@ def test_criterion_1_symmetric_monoid():
     good = check_symmetric_monoid(g.c, g.w, g.s)
     mutated = check_symmetric_monoid(g.c, g.w, identity(2))
     ok = (
-        good.overall
+        good.passed
         and len(good.checks) == 8
         and sum(not c.passed for c in mutated.checks) >= 1
     )

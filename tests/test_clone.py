@@ -205,6 +205,22 @@ def test_finite_algebra_validation():
         FiniteAlgebra(2, {"op": (1, (2, 0))})
 
 
+@pytest.mark.parametrize(
+    "carrier, arity, table",
+    [
+        (2, 2, (0, 0.5, 0, True)),
+        (2, 2, (0, 0, 0, True)),
+        (2, 2, ("0", 0, 0, 1)),
+        (2, True, (0, 1)),
+        (2.0, 2, (0, 0, 0, 1)),
+    ],
+)
+def test_finite_algebra_rejects_non_integers(carrier, arity, table):
+    with pytest.raises(ValueError, match="integer"):
+        FiniteAlgebra(carrier, {"m": (arity, table)})
+
+
+
 def test_builtin_initial_selects():
     initial = builtin_clone("initial")
     assert initial.mu(2, 3, 1, [0, 2]) == 2

@@ -213,7 +213,7 @@ def test_coproduct_functorial():
 def test_symmetric_monoid_all_pass():
     g = generators()
     report = check_symmetric_monoid(g.c, g.w, g.s)
-    assert report.overall
+    assert report.passed
     assert len(report.checks) == 8
     assert all(c.counterexample is None for c in report.checks)
 
@@ -235,10 +235,10 @@ def test_braid_legs_frozen_oracle():
 def test_identity_swap_fails_insert_swap():
     g = generators()
     report = check_symmetric_monoid(g.c, g.w, identity(2))
-    assert not report.overall
+    assert not report.passed
     failed = report.check("insert-swap")
     assert not failed.passed
-    lhs, rhs = failed.counterexample
+    lhs, rhs = failed.counterexample["lhs"], failed.counterexample["rhs"]
     assert {lhs.table, rhs.table} == {(1,), (0,)}
 
 

@@ -183,6 +183,23 @@ def test_roundtrip_alg_identity_on_s_images():
     assert roundtrip_alg(s_functor(builtin_clone("terminal")), 4).passed
 
 
+@pytest.mark.parametrize("bound", [3, 4])
+def test_roundtrip_alg_clamps_stored_algebra_to_half_its_stages(bound):
+    # the clone of a stored algebra substitutes at arity (m,n) through stage
+    # n+m, so a round trip up to bound reads stage 2*bound of the tables
+    table = truncate_algebra(s_functor(builtin_clone("initial")), 4)
+    report = roundtrip_alg(table, bound)
+    assert report.passed
+    assert report.notes == [
+        f"incomplete: bound {bound} clamped to 2: substitution at arity (m,n) "
+        "reads stage n+m of the stored stages 0..4"
+    ]
+    assert report.check("act-agreement").instances == roundtrip_alg(table, 2).check(
+        "act-agreement"
+    ).instances
+    assert roundtrip_alg(table, 2).notes == []
+
+
 def test_wrong_consumption_order_breaks_roundtrip():
     # consuming substituends first-to-last disagrees with plain substitution
     # on a non-commutative operator, which the round trip is built to detect

@@ -229,6 +229,17 @@ def test_table_algebra_validates_shapes():
         TableSubstAlgebra(table.base, {0: [0]}, table.v_values)
 
 
+@pytest.mark.parametrize("value", [True, False, 0.0, 0.5, "0", None])
+def test_table_algebra_rejects_non_integer_entries(value):
+    # bool and float entries would pass the range checks; "0" and None
+    # would make them raise TypeError
+    table = truncate_algebra(initial_algebra(), 3)
+    with pytest.raises(ValueError, match="non-integer"):
+        table.with_s_entry(2, 0, 0, value)
+    with pytest.raises(ValueError, match="non-integer"):
+        table.with_v(1, value)
+
+
 def test_free_clone_cannot_be_tabulated():
     alg = s_functor(FreeClone(Signature({"b": 2})), Budget(max_depth=1))
     with pytest.raises(ValueError, match="not table-closed"):
