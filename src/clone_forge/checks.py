@@ -117,7 +117,7 @@ class LawRunner:
     rhs leave it out.  The keys ``law`` and ``combo`` come last.
     """
 
-    def __init__(self, law: str, policy: CheckPolicy, names: str = ""):
+    def __init__(self, law: str, policy: CheckPolicy, names: str):
         self.law = law
         self.policy = policy
         self.names = names.split()
