@@ -105,6 +105,25 @@ class Group:
     make: Callable = tuple
 
 
+@dataclass(frozen=True)
+class Row:
+    """A family's last axis, whose instances ``sides`` returns a row at a time.
+
+    Given the values of the axes before it, ``sides`` returns two sequences
+    of one type aligned with ``axis``: the lhs and the rhs at every position.
+    Instances, streams and witnesses are those of ``axis`` as a plain last
+    axis; only the number of ``sides`` calls changes.
+    """
+
+    axis: list
+
+
+def _group(axis) -> Group:
+    if isinstance(axis, Group):
+        return axis
+    return Group([axis.axis if isinstance(axis, Row) else axis], itemgetter(0))
+
+
 class LawRunner:
     """Accumulates one LawCheck from any number of instance families.
 
@@ -115,6 +134,11 @@ class LawRunner:
     space-separated ``names``, taken in order by the family's ``fixed``
     values, one value per axis or Group, lhs and rhs; names that stop before
     rhs leave it out.  The keys ``law`` and ``combo`` come last.
+
+    With a Row last, ``sides`` takes the values of the other axes.  A sweep
+    compares each pair of rows with one ``!=`` and, on a mismatch, counts
+    and names instances up to the first unequal position; a sample indexes
+    both rows at the drawn position.
     """
 
     def __init__(self, law: str, policy: CheckPolicy, names: str):
@@ -129,22 +153,44 @@ class LawRunner:
     def run(self, combo: str, axes, sides) -> None:
         if self._witness is not None:
             return
-        groups = [a if isinstance(a, Group) else Group([a], itemgetter(0)) for a in axes]
+        row = axes[-1].axis if axes and isinstance(axes[-1], Row) else None
+        groups = [_group(a) for a in axes]
         flat = [axis for group in groups for axis in group.axes]
+        if row is not None:  # draws pick a position in the row
+            flat[-1] = range(len(row))
         mode, stream = instance_stream(flat, self.policy, f"{self.law}|{combo}")
         self._mode = _merge_mode(self._mode, mode)
-        count = 0
-        for count, values in enumerate(stream, 1):
-            lhs, rhs = sides(*values)
-            if lhs != rhs:
-                named, at = list(self.fixed), 0
-                for group in groups:
-                    named.append(group.make(values[at : at + len(group.axes)]))
-                    at += len(group.axes)
-                witness = dict(zip(self.names, [*named, lhs, rhs]))
-                self._witness = {**witness, "law": self.law, "combo": combo}
-                break
+        count, failure = 0, None
+        if row is None:
+            for count, values in enumerate(stream, 1):
+                lhs, rhs = sides(*values)
+                if lhs != rhs:
+                    failure = values, lhs, rhs
+                    break
+        elif mode == "exhaustive":
+            for prefix in itertools.product(*flat[:-1]):
+                lhs, rhs = sides(*prefix)
+                if lhs != rhs:
+                    i = next(i for i, pair in enumerate(zip(lhs, rhs)) if pair[0] != pair[1])
+                    count += i + 1
+                    failure = (*prefix, row[i]), lhs[i], rhs[i]
+                    break
+                count += len(row)
+        else:
+            for count, (*prefix, i) in enumerate(stream, 1):
+                lhs, rhs = sides(*prefix)
+                if lhs[i] != rhs[i]:
+                    failure = (*prefix, row[i]), lhs[i], rhs[i]
+                    break
         self._instances += count
+        if failure is not None:
+            values, lhs, rhs = failure
+            named, at = list(self.fixed), 0
+            for group in groups:
+                named.append(group.make(values[at : at + len(group.axes)]))
+                at += len(group.axes)
+            witness = dict(zip(self.names, [*named, lhs, rhs]))
+            self._witness = {**witness, "law": self.law, "combo": combo}
 
     def result(self) -> LawCheck:
         return LawCheck(

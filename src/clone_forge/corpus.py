@@ -123,9 +123,8 @@ def designed_mutants() -> list[tuple[str, Mutant]]:
     return out
 
 
-def mutant_battery(budget: Budget | None = None) -> list[Mutant]:
+def mutant_battery() -> list[Mutant]:
     """Twenty-plus single-entry mutants for the agreement and sensitivity suites."""
-    budget = budget or Budget()
     mutants = [m for _, m in designed_mutants()]
     base = _initial_table_algebra(4)
 

@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
-from .checks import CarrierUnavailable, CheckPolicy, Report, check_law
+from .checks import CarrierUnavailable, CheckPolicy, Report, Row, check_law
 from .fin_cat import (
     FinMap,
     ShapeError,
@@ -103,13 +103,17 @@ class TruncatedPresheaf(Presheaf):
     def act(self, f, x):
         return self.action(f)(x)
 
-    def action(self, f):
+    def table(self, f: FinMap) -> tuple[int, ...]:
+        """The stored action of f: entry i is the index of act(f, i)."""
         if f.dom > self.bound or f.cod > self.bound:
             raise StageRangeError(
                 max(f.dom, f.cod),
                 f"map {f} beyond truncation bound {self.bound}",
             )
-        return self.actions[(f.dom, f.cod)][f.table].__getitem__
+        return self.actions[(f.dom, f.cod)][f.table]
+
+    def action(self, f):
+        return self.table(f).__getitem__
 
     def max_stage(self):
         return self.bound
@@ -335,6 +339,45 @@ def compose_sides(P: Presheaf, composite_lhs: bool):
     return sides
 
 
+def stored_compose_sides(P: TruncatedPresheaf, l: int, m: int, n: int, composite_lhs: bool):
+    """compose_sides for maps l -> m -> n of stored tables, a row at a time.
+
+    The callback takes (first map, second map) and returns the values at
+    every x of stage l, as the two stored index rows: the composite's row
+    and the second row read through the first.  The first row is held while
+    the first map stays.
+    """
+    firsts, seconds, composites = P.actions[(l, m)], P.actions[(m, n)], P.actions[(l, n)]
+    last_f = table_f = None
+
+    def sides(f, g):
+        nonlocal last_f, table_f
+        if f is not last_f:
+            last_f, table_f = f, firsts[f.table]
+        composite = composites[tuple(map(g.table.__getitem__, f.table))]
+        stepwise = tuple(map(seconds[g.table].__getitem__, table_f))
+        return (composite, stepwise) if composite_lhs else (stepwise, composite)
+
+    return sides
+
+
+def compose_families(P: Presheaf, carriers: dict[int, list], composite_lhs: bool):
+    """The families of act(first;second, x) = act(second, act(first, x)).
+
+    One family per combo l->m->n of stages in carriers, with axes (first,
+    second, x).  A presheaf that stores its tables is checked a row of x at
+    a time (stored_compose_sides); any other one element by element, since
+    a row would cost an act call per element on every sampled draw.
+    """
+    for l, m, n in itertools.product(carriers, repeat=3):
+        maps = [enumerate_maps(l, m), enumerate_maps(m, n)]
+        if isinstance(P, TruncatedPresheaf):
+            axes, sides = [*maps, Row(carriers[l])], stored_compose_sides(P, l, m, n, composite_lhs)
+        else:
+            axes, sides = [*maps, carriers[l]], compose_sides(P, composite_lhs)
+        yield f"{l}->{m}->{n}", (), axes, sides
+
+
 def check_functoriality(
     P: Presheaf, bound: int = 3, policy: CheckPolicy | None = None
 ) -> Report:
@@ -351,11 +394,9 @@ def check_functoriality(
     report.checks.append(check_law("identity-action", policy, "m x lhs", (
         (f"m={m}", (m,), [carriers[m]], partial(ident, identity(m))) for m in stages
     )))
-    report.checks.append(check_law("compose-action", policy, "f g x lhs rhs", (
-        (f"{m}->{n}->{k}", (), [enumerate_maps(m, n), enumerate_maps(n, k), carriers[m]],
-         compose_sides(P, True))
-        for m, n, k in itertools.product(stages, repeat=3)
-    )))
+    report.checks.append(check_law(
+        "compose-action", policy, "f g x lhs rhs", compose_families(P, carriers, True)
+    ))
     return report
 
 

@@ -1,6 +1,7 @@
 """Subcommand behavior, exit codes, report formats and determinism."""
 
 import json
+import re
 
 import pytest
 
@@ -151,6 +152,17 @@ def test_roundtrip_command(capsys):
     assert code == EXIT_PASS
     assert "roundtrip-clone:mu-agreement" in out
     assert "roundtrip-algebra:subst-agreement" in out
+
+
+def test_roundtrip_stops_at_the_first_stage_a_finite_clone_lacks(tmp_path, capsys):
+    meet = tmp_path / "meet.json"
+    meet.write_text(MEET)
+    code = main(["roundtrip", "--algebra", str(meet), "--max-arity", "2"])
+    captured = capsys.readouterr()
+    assert code == EXIT_PASS
+    assert "roundtrip-algebra:act-agreement" in captured.out
+    assert "incomplete: bound 3 lowered to 2: carrier C_3 not constructed" in captured.out
+    assert re.fullmatch(r"elapsed: \d+\.\d\ds\n", captured.err)
 
 
 def test_enum_hom_counts(capsys):

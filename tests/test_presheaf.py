@@ -5,7 +5,7 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
-from clone_forge.checks import CheckPolicy, LawCheck, instance_stream
+from clone_forge.checks import CheckPolicy, LawCheck, check_law, instance_stream
 from clone_forge.clone import Budget, FreeClone, Signature, builtin_clone, finite_clone_of_algebra
 from clone_forge.corpus import designed_mutants, meet_semilattice
 from clone_forge.fin_cat import (
@@ -25,8 +25,10 @@ from clone_forge.presheaf_f import (
     StageRangeError,
     Strengths,
     TerminalPresheaf,
+    TruncatedPresheaf,
     check_delta_laws,
     check_functoriality,
+    compose_families,
     delta_apply,
     delta_structure,
     ell,
@@ -39,17 +41,20 @@ from clone_forge.presheaf_f import (
 from clone_forge.subst_algebra import check_presentation, truncate_algebra
 
 
-def reference_compose_law(P, law, bound, policy):
+def reference_compose_law(P, law, bound, policy, combos=None):
     """The LawCheck of act-compose or compose-action, one act call per step.
 
     Walks instance_stream element by element with the per-instance formula:
-    no hoisting, no composition cache.  act-compose names the maps (g, f)
-    and puts the stepwise value on the lhs; compose-action names them (f, g)
-    and puts the composite's value on the lhs.
+    no hoisting, no composition cache, no rows.  act-compose names the maps
+    (g, f) and puts the stepwise value on the lhs; compose-action names them
+    (f, g) and puts the composite's value on the lhs.  combos, when given,
+    keeps only the families with those labels.
     """
     mode, instances = None, 0
     for a, b, c in itertools.product(range(bound + 1), repeat=3):
         combo = f"{a}->{b}->{c}"
+        if combos is not None and combo not in combos:
+            continue
         axes = [enumerate_maps(a, b), enumerate_maps(b, c), list(P.set(a))]
         kind, stream = instance_stream(axes, policy, f"{law}|{combo}")
         if kind != "vacuous":
@@ -95,8 +100,6 @@ def test_functoriality_catches_corrupted_table():
     tables[f.table] = (0, 1)  # no longer the constant map's action
     actions = dict(trunc.actions)
     actions[(2, 2)] = tables
-    from clone_forge.presheaf_f import TruncatedPresheaf
-
     bad = TruncatedPresheaf(3, trunc.carrier_sizes, actions)
     report = check_functoriality(bad, 3)
     check = report.check("compose-action")
@@ -112,6 +115,33 @@ def test_compose_breaker_matches_reference():
     assert (check.passed, check.mode, check.instances) == (False, "exhaustive", 179)
     assert check.counterexample["combo"] == "1->3->4"
     assert_same_check(check, reference_compose_law(alg.base, "act-compose", 4, policy))
+
+
+def test_sampled_composition_failure_matches_reference():
+    # corrupt the first map's table of the 700th seed-0 draw of 4->4->4, a
+    # combo sampled at the default policy, at the drawn element; that draw's
+    # second map hides the change, and the 719th draw meets it
+    P = truncate_presheaf(s_functor(builtin_clone("initial")).base, 4)
+    policy = CheckPolicy(seed=0)
+    axes = [enumerate_maps(4, 4), enumerate_maps(4, 4), P.set(4)]
+    mode, draws = instance_stream(axes, policy, "compose-action|4->4->4")
+    assert mode == "sampled"
+    f, _, x = next(itertools.islice(draws, 699, None))
+    actions = dict(P.actions)
+    actions[(4, 4)] = {**actions[(4, 4)], f.table: tuple(
+        (v + 1) % 4 if i == x else v for i, v in enumerate(P.table(f))
+    )}
+    bad = TruncatedPresheaf(4, P.carrier_sizes, actions)
+    carriers = {m: bad.set(m) for m in range(5)}
+    families = [fam for fam in compose_families(bad, carriers, True) if fam[0] == "4->4->4"]
+    check = check_law("compose-action", policy, "f g x lhs rhs", families)
+    assert (check.passed, check.mode, check.instances) == (False, "sampled", 719)
+    want = reference_compose_law(bad, "compose-action", 4, policy, {"4->4->4"})
+    assert_same_check(check, want)
+    # the whole law meets the corruption first in a smaller, exhaustive combo
+    check = check_functoriality(bad, 4).check("compose-action")
+    assert not check.passed
+    assert_same_check(check, reference_compose_law(bad, "compose-action", 4, CheckPolicy()))
 
 
 @pytest.mark.parametrize(
@@ -136,8 +166,11 @@ def test_table_action_matches_act():
     for f in enumerate_maps(2, 3):
         act = trunc.action(f)
         assert [act(x) for x in trunc.set(2)] == [trunc.act(f, x) for x in trunc.set(2)]
+        assert trunc.table(f) == tuple(trunc.act(f, x) for x in trunc.set(2))
     with pytest.raises(StageRangeError):
         trunc.action(FinMap(1, 4, (3,)))
+    with pytest.raises(StageRangeError):
+        trunc.table(FinMap(1, 4, (3,)))
     V = representable_V()
     assert V.action(old(2))(1) == V.act(old(2), 1)
 
@@ -205,8 +238,6 @@ def test_delta_laws_catch_corrupted_action():
     tables[merge_at_1.table] = (0, 0, 1)
     actions = dict(trunc.actions)
     actions[(3, 2)] = tables
-    from clone_forge.presheaf_f import TruncatedPresheaf
-
     bad = TruncatedPresheaf(5, trunc.carrier_sizes, actions)
     report = check_delta_laws(bad, 4)
     assert not report.passed
