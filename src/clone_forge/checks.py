@@ -109,13 +109,19 @@ class Group:
 class Row:
     """A family's last axis, whose instances ``sides`` returns a row at a time.
 
-    Given the values of the axes before it, ``sides`` returns two sequences
-    of one type aligned with ``axis``: the lhs and the rhs at every position.
-    Instances, streams and witnesses are those of ``axis`` as a plain last
-    axis; only the number of ``sides`` calls changes.
+    Given the values of every other axis, ``sides`` returns two sequences of
+    one type aligned with ``axis``: the lhs and the rhs at every position.
+    Given all but the last of those values, it returns a block: two lists
+    aligned with the axis before the Row, of such rows.  Instances, streams
+    and witnesses are those of ``axis`` as a plain last axis; only the number
+    of ``sides`` calls changes.
     """
 
     axis: list
+
+
+def _first_unequal(lhs, rhs) -> int:
+    return next(i for i, pair in enumerate(zip(lhs, rhs)) if pair[0] != pair[1])
 
 
 def _group(axis) -> Group:
@@ -135,10 +141,11 @@ class LawRunner:
     values, one value per axis or Group, lhs and rhs; names that stop before
     rhs leave it out.  The keys ``law`` and ``combo`` come last.
 
-    With a Row last, ``sides`` takes the values of the other axes.  A sweep
-    compares each pair of rows with one ``!=`` and, on a mismatch, counts
-    and names instances up to the first unequal position; a sample indexes
-    both rows at the drawn position.
+    With a Row last, a sweep asks ``sides`` for one block per value of the
+    axes before the last two, compares the two blocks with one ``!=`` and,
+    on a mismatch, counts and names instances up to the first unequal row
+    and position in it; a sample asks for the drawn pair of rows and indexes
+    both at the drawn position.
     """
 
     def __init__(self, law: str, policy: CheckPolicy, names: str):
@@ -168,14 +175,16 @@ class LawRunner:
                     failure = values, lhs, rhs
                     break
         elif mode == "exhaustive":
-            for prefix in itertools.product(*flat[:-1]):
-                lhs, rhs = sides(*prefix)
+            inner = flat[-2]
+            for outer in itertools.product(*flat[:-2]):
+                lhs, rhs = sides(*outer)
                 if lhs != rhs:
-                    i = next(i for i, pair in enumerate(zip(lhs, rhs)) if pair[0] != pair[1])
-                    count += i + 1
-                    failure = (*prefix, row[i]), lhs[i], rhs[i]
+                    j = _first_unequal(lhs, rhs)
+                    i = _first_unequal(lhs[j], rhs[j])
+                    count += j * len(row) + i + 1
+                    failure = (*outer, inner[j], row[i]), lhs[j][i], rhs[j][i]
                     break
-                count += len(row)
+                count += len(inner) * len(row)
         else:
             for count, (*prefix, i) in enumerate(stream, 1):
                 lhs, rhs = sides(*prefix)

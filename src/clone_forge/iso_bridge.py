@@ -14,10 +14,10 @@ import itertools
 from dataclasses import dataclass
 from functools import partial
 
-from .checks import CarrierUnavailable, CheckPolicy, Group, Report, check_law
+from .checks import CheckPolicy, Group, Report, check_law
 from .clone import Budget, Clone, carriers_within, clone_hom_check
 from .fin_cat import FinMap, enumerate_maps
-from .presheaf_f import Presheaf
+from .presheaf_f import Presheaf, stage_carriers
 from .subst_algebra import SubstAlgebra, hom_check
 
 
@@ -233,14 +233,8 @@ def roundtrip_alg(
             f"(m,n) reads stage n+m of the stored stages 0..{top}"
         )
         bound = top // 2
-    A = {}
-    for m in range(bound + 1):
-        try:
-            A[m] = list(algebra.base.set(m))
-        except CarrierUnavailable as exc:  # incomplete coverage, not failure
-            report.notes.append(f"incomplete: bound {bound} lowered to {m - 1}: {exc}")
-            bound = m - 1
-            break
+    A = stage_carriers(algebra.base, bound, report)
+    bound = len(A) - 1
 
     def action(f, x):
         return back.base.act(f, x), algebra.base.act(f, x)

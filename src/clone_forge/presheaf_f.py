@@ -303,6 +303,22 @@ def clamp_stage(source, bound: int, report: Report) -> int:
     return bound
 
 
+def stage_carriers(P: Presheaf, bound: int, report: Report) -> dict[int, list]:
+    """P's carriers at stages 0..bound, keyed by stage.
+
+    Enumeration stops at the first stage P cannot enumerate, noting in report
+    that the bound is lowered to the last stage enumerated.
+    """
+    carriers = {}
+    for m in range(bound + 1):
+        try:
+            carriers[m] = list(P.set(m))
+        except CarrierUnavailable as exc:  # incomplete coverage, not failure
+            report.notes.append(f"incomplete: bound {bound} lowered to {m - 1}: {exc}")
+            break
+    return carriers
+
+
 def compose_sides(P: Presheaf, composite_lhs: bool):
     """The sides callback for act(first;second, x) = act(second, act(first, x)).
 
@@ -339,23 +355,40 @@ def compose_sides(P: Presheaf, composite_lhs: bool):
     return sides
 
 
-def stored_compose_sides(P: TruncatedPresheaf, l: int, m: int, n: int, composite_lhs: bool):
+def stored_compose_sides(
+    P: TruncatedPresheaf, l: int, m: int, n: int, seconds: list[FinMap], composite_lhs: bool
+):
     """compose_sides for maps l -> m -> n of stored tables, a row at a time.
 
-    The callback takes (first map, second map) and returns the values at
-    every x of stage l, as the two stored index rows: the composite's row
-    and the second row read through the first.  The first row is held while
-    the first map stays.
+    sides(first, second) returns the values at every x of stage l, as two
+    index rows: the composite's stored row and the second row read through
+    the first.  sides(first) returns the block of those rows for every map
+    in seconds, in order, built by zipping columns: column i holds entry i
+    of every second map, or of every second map's row.  The columns are
+    gathered at the first block.
     """
-    firsts, seconds, composites = P.actions[(l, m)], P.actions[(m, n)], P.actions[(l, n)]
-    last_f = table_f = None
+    firsts, second_rows, composites = P.actions[(l, m)], P.actions[(m, n)], P.actions[(l, n)]
+    map_columns = row_columns = None
 
-    def sides(f, g):
-        nonlocal last_f, table_f
-        if f is not last_f:
-            last_f, table_f = f, firsts[f.table]
-        composite = composites[tuple(map(g.table.__getitem__, f.table))]
-        stepwise = tuple(map(seconds[g.table].__getitem__, table_f))
+    def gather(columns, picks):
+        """tuple(column[p] for p in picks) for each second map."""
+        if not picks:
+            return itertools.repeat((), len(seconds))
+        return zip(*map(columns.__getitem__, picks))
+
+    def sides(f, g=None):
+        nonlocal map_columns, row_columns
+        table_f = firsts[f.table]
+        if g is not None:
+            composite = composites[tuple(map(g.table.__getitem__, f.table))]
+            stepwise = tuple(map(second_rows[g.table].__getitem__, table_f))
+        else:
+            if map_columns is None:
+                tables = [g.table for g in seconds]
+                map_columns = list(zip(*tables))
+                row_columns = list(zip(*map(second_rows.__getitem__, tables)))
+            composite = list(map(composites.__getitem__, gather(map_columns, f.table)))
+            stepwise = list(gather(row_columns, table_f))
         return (composite, stepwise) if composite_lhs else (stepwise, composite)
 
     return sides
@@ -366,15 +399,17 @@ def compose_families(P: Presheaf, carriers: dict[int, list], composite_lhs: bool
 
     One family per combo l->m->n of stages in carriers, with axes (first,
     second, x).  A presheaf that stores its tables is checked a row of x at
-    a time (stored_compose_sides); any other one element by element, since
-    a row would cost an act call per element on every sampled draw.
+    a time, and swept a block of second maps at a time
+    (stored_compose_sides); any other one element by element, since a row
+    would cost an act call per element on every sampled draw.
     """
     for l, m, n in itertools.product(carriers, repeat=3):
-        maps = [enumerate_maps(l, m), enumerate_maps(m, n)]
+        firsts, seconds = enumerate_maps(l, m), enumerate_maps(m, n)
         if isinstance(P, TruncatedPresheaf):
-            axes, sides = [*maps, Row(carriers[l])], stored_compose_sides(P, l, m, n, composite_lhs)
+            axes = [firsts, seconds, Row(carriers[l])]
+            sides = stored_compose_sides(P, l, m, n, seconds, composite_lhs)
         else:
-            axes, sides = [*maps, carriers[l]], compose_sides(P, composite_lhs)
+            axes, sides = [firsts, seconds, carriers[l]], compose_sides(P, composite_lhs)
         yield f"{l}->{m}->{n}", (), axes, sides
 
 

@@ -24,6 +24,7 @@ from .presheaf_f import (
     compose_families,
     insert_map,
     merge_map,
+    stage_carriers,
     swap_map,
     truncate_presheaf,
 )
@@ -175,11 +176,12 @@ def check_presentation(
 
     Stage ranges follow the stage arithmetic of each family: contraction and
     associativity need two stages of headroom, naturality and the unit one.
+    The first stage the base cannot enumerate lowers the bound, with a note.
     """
     policy = policy or CheckPolicy()
     report = Report(mode="equations")
-    bound = clamp_stage(alg, bound, report)
-    A = {m: list(alg.base.set(m)) for m in range(bound + 1)}
+    A = stage_carriers(alg.base, clamp_stage(alg, bound, report), report)
+    bound = len(A) - 1
     act = alg.base.act
     s_at = alg.s_at
     nu = alg.v_at(0)

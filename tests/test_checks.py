@@ -5,52 +5,79 @@ from clone_forge.checks import CheckPolicy, Group, Row, check_law
 NAMES = "m a x lhs rhs"
 
 
-def row_sides(sides, xs):
-    """sides over a whole row of xs, from the per-element sides."""
+def row_sides(sides, axes, xs, calls):
+    """sides of a Row family over xs, from the per-element sides.
 
-    def rows(*prefix):
-        pairs = [sides(*prefix, x) for x in xs]
+    Given a value for every axis in axes it returns a pair of rows; given
+    one value fewer, the block of pairs of rows over the last flat axis.
+    Each call from the runner appends its number of values to calls.
+    """
+    flat = [a for axis in axes for a in (axis.axes if isinstance(axis, Group) else [axis])]
+
+    def rows(*values):
+        if len(values) < len(flat):
+            pairs = [rows(*values, v) for v in flat[-1]]
+            return [p[0] for p in pairs], [p[1] for p in pairs]
+        pairs = [sides(*values, x) for x in xs]
         return tuple(p[0] for p in pairs), tuple(p[1] for p in pairs)
 
-    return rows
+    def counted(*values):
+        calls.append(len(values))
+        return rows(*values)
+
+    return counted
 
 
-def check_both(families, policy=CheckPolicy(), names=NAMES):
-    """The LawCheck with a plain last axis, asserted equal to the one with a Row."""
+def check_both(families, policy=CheckPolicy(), names=NAMES, calls=None):
+    """The LawCheck with a plain last axis, asserted equal to the one with a Row.
+
+    The Row run is made twice, the second time with its sides wrapped in a
+    plain ``lambda *a``, as a tracer wraps them; calls collects the number
+    of values of each call of the first Row run.
+    """
     plain = check_law("law", policy, names, [
         (combo, fixed, [*axes, xs], sides) for combo, fixed, axes, xs, sides in families
     ])
-    rows = check_law("law", policy, names, [
-        (combo, fixed, [*axes, Row(xs)], row_sides(sides, xs))
-        for combo, fixed, axes, xs, sides in families
-    ])
-    assert rows == plain
-    if plain.counterexample is not None:
-        assert list(rows.counterexample) == list(plain.counterexample)
+
+    def row_run(wrap, calls):
+        return check_law("law", policy, names, [
+            (combo, fixed, [*axes, Row(xs)], wrap(row_sides(sides, axes, xs, calls)))
+            for combo, fixed, axes, xs, sides in families
+        ])
+
+    rows = row_run(lambda sides: sides, [] if calls is None else calls)
+    wrapped = row_run(lambda sides: lambda *a: sides(*a), [])
+    for check in (rows, wrapped):
+        assert check == plain
+        if plain.counterexample is not None:
+            assert list(check.counterexample) == list(plain.counterexample)
     return plain
 
 
 def broken_at(*bad):
-    """sides of 10a + x = 10a + x, with the rhs off by one at each (a, x) in bad."""
+    """sides of v = v for the decimal number v of the values, the rhs off
+    by one at each tuple of values in bad."""
 
-    def sides(a, x):
-        return a * 10 + x, a * 10 + x + ((a, x) in bad)
+    def sides(*values):
+        value = sum(v * 10**k for k, v in enumerate(reversed(values)))
+        return value, value + (values in bad)
 
     return sides
 
 
 def test_exhaustive_pass_counts_every_position():
-    calls = []
+    evaluated, calls = [], []
 
     def sides(a, x):
-        calls.append((a, x))
+        evaluated.append((a, x))
         return a + x, x + a
 
-    check = check_both([("m=1", (1,), [range(3)], list(range(4)), sides)])
+    check = check_both([("m=1", (1,), [range(3)], list(range(4)), sides)], calls=calls)
     assert (check.passed, check.mode, check.instances) == (True, "exhaustive", 12)
-    # the plain run calls sides once per instance, the row run once per row of
-    # four, where row_sides evaluates the per-element sides four times
-    assert len(calls) == 12 + 3 * 4
+    # the plain run evaluates sides once per instance, each Row run its one
+    # block, where row_sides evaluates the per-element sides twelve times
+    assert len(evaluated) == 12 + 2 * 12
+    assert calls == [0]
 
 
 def test_mismatch_at_first_position_of_a_row():
@@ -67,6 +94,39 @@ def test_mismatch_at_last_position_of_a_row():
     assert (check.counterexample["a"], check.counterexample["x"]) == (2, 3)
 
 
+BLOCK_NAMES = "m a b x lhs rhs"
+
+
+def test_block_sweep_calls_sides_once_per_outer_value():
+    calls = []
+    check = check_both(
+        [("m=2", (2,), [range(2), range(3)], list(range(4)), broken_at())],
+        names=BLOCK_NAMES, calls=calls,
+    )
+    assert (check.passed, check.mode, check.instances) == (True, "exhaustive", 24)
+    assert calls == [1, 1]
+
+
+def test_mismatch_at_first_second_value_of_a_later_block():
+    families = [("m=2", (2,), [range(2), range(3)], list(range(4)), broken_at((1, 0, 1)))]
+    check = check_both(families, names=BLOCK_NAMES)
+    assert (check.passed, check.instances) == (False, 12 + 2)
+    assert check.counterexample == {
+        "m": 2, "a": 1, "b": 0, "x": 1, "lhs": 101, "rhs": 102, "law": "law", "combo": "m=2"
+    }
+
+
+def test_mismatch_at_last_second_value_and_last_position():
+    families = [
+        ("m=1", (1,), [range(2), range(2)], list(range(3)), broken_at()),
+        ("m=2", (2,), [range(2), range(3)], list(range(4)), broken_at((0, 2, 3), (1, 0, 0))),
+    ]
+    check = check_both(families, names=BLOCK_NAMES)
+    assert (check.passed, check.instances) == (False, 12 + 12)
+    assert (check.counterexample["a"], check.counterexample["b"]) == (0, 2)
+    assert (check.counterexample["x"], check.counterexample["combo"]) == (3, "m=2")
+
+
 def test_failure_only_a_sampled_combo_reaches():
     policy = CheckPolicy(exhaustive_threshold=50, sample_size=200, seed=3)
     families = [
@@ -78,6 +138,22 @@ def test_failure_only_a_sampled_combo_reaches():
     assert check.counterexample["combo"] == "m=2"
     assert check.counterexample["x"] == 5
     assert 30 < check.instances < 30 + 200
+
+
+def test_failure_only_a_sampled_block_combo_reaches():
+    policy = CheckPolicy(exhaustive_threshold=50, sample_size=200, seed=3)
+    calls = []
+    bad = [(a, b, 5) for a in range(8) for b in range(5)]
+    families = [
+        ("m=1", (1,), [range(2), range(3)], list(range(6)), broken_at()),
+        ("m=2", (2,), [range(8), range(5)], list(range(7)), broken_at(*bad)),
+    ]
+    check = check_both(families, policy, BLOCK_NAMES, calls)
+    assert (check.passed, check.mode) == (False, "sampled")
+    assert (check.counterexample["combo"], check.counterexample["x"]) == ("m=2", 5)
+    assert 36 < check.instances < 36 + 200
+    # the sweep takes two blocks; each draw asks for one pair of rows
+    assert calls == [1, 1] + [2] * (check.instances - 36)
 
 
 def test_sampled_pass_draws_the_same_instances():

@@ -1,15 +1,18 @@
 """Subcommand behavior, exit codes, report formats and determinism."""
 
+import hashlib
 import json
 import re
 
 import pytest
 
+from clone_forge import cli
+from clone_forge.checks import CheckPolicy, describe
 from clone_forge.cli import EXIT_FAIL, EXIT_INPUT, EXIT_PASS, FORMAT_ENV, main
-from clone_forge.clone import builtin_clone
+from clone_forge.clone import Budget, Clone, builtin_clone
 from clone_forge.io_formats import dump_subst_algebra
 from clone_forge.iso_bridge import s_functor
-from clone_forge.subst_algebra import truncate_algebra
+from clone_forge.subst_algebra import check_presentation, truncate_algebra
 
 MEET = '{"carrier": 2, "operations": {"meet": {"arity": 2, "table": [0, 0, 0, 1]}}}'
 
@@ -77,6 +80,105 @@ def test_to_subst_and_check_subst(tmp_path, capsys):
     code, out = run(capsys, "check-subst", "--input", str(out_path))
     assert code == EXIT_PASS
     assert "agreement:unit<->left-unit-diagram" in out
+
+
+# sha256 of stdout and of the written file of
+# to-subst SOURCE --bound 4 --seed SEED --format json --output out.json,
+# pinned when to-subst still checked the computed algebra before writing
+TO_SUBST_DIGESTS = [
+    ("initial", 0, "22bff85543c7d3664ec0a5ff4652cd6fab193d8b5760841949117220fbe35167",
+     "414c7f1f5425da7e8966bd90a1a8c233ab5257178cf7a4cc4c0ea923e170aac6"),
+    ("initial", 5, "1774b7a8246c8d1c6ffb31cbeb9fd35cebcc7d15094b87b064bd0d42ead291f4",
+     "414c7f1f5425da7e8966bd90a1a8c233ab5257178cf7a4cc4c0ea923e170aac6"),
+    ("terminal", 0, "02f4268a65c37f24b42c357a046761d8d2237a605412c5a347f6f361be1f54ff",
+     "88c471cb0be9e4151ad5d094ddd33e777671506792aacaa12b7f1bb4e2a7d830"),
+    ("terminal", 5, "6f4027abdb1864c7ccb7ea94dcd28ff4ac9c1fd6639d2d13cce55da31401d276",
+     "88c471cb0be9e4151ad5d094ddd33e777671506792aacaa12b7f1bb4e2a7d830"),
+    ("meet", 0, "5e46aa775a370f4dd7496bd80e6fb808984434d4882f119901c39965dcaa8a11",
+     "fe8b661ae27d587f50892f0f607a3c10fa4f11b7c12106a1a2436b9ad634af10"),
+    ("meet", 5, "3d6849a7650b90c353789a7558a835a9d5435d3257ae60c06e4da25b8d658fc9",
+     "fe8b661ae27d587f50892f0f607a3c10fa4f11b7c12106a1a2436b9ad634af10"),
+]
+
+
+@pytest.mark.parametrize("name, seed, stdout_sha, file_sha", TO_SUBST_DIGESTS)
+def test_to_subst_output_is_unchanged(
+    tmp_path, capsys, monkeypatch, name, seed, stdout_sha, file_sha
+):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "meet-algebra.json").write_text(MEET)
+    source = {
+        "initial": ["--builtin", "initial"],
+        "terminal": ["--builtin", "terminal"],
+        "meet": ["--algebra", "meet-algebra.json", "--max-arity", "4"],
+    }[name]
+    argv = ["to-subst", *source, "--bound", "4", "--seed", str(seed), "--format", "json"]
+    code, out = run(capsys, *argv, "--output", "out.json")
+    assert code == EXIT_PASS
+    assert hashlib.sha256(out.encode()).hexdigest() == stdout_sha
+    assert hashlib.sha256((tmp_path / "out.json").read_bytes()).hexdigest() == file_sha
+
+
+class NamedFirstSubstituend(Clone):
+    """Projections named x0, x1, ...; substitution returns its first substituend.
+
+    Every carrier is closed under its action and substitution, so its
+    tables can be written, but they break the substitution laws.
+    """
+
+    name = "named-first-substituend"
+
+    def elems(self, n, budget=None):
+        return [f"x{i}" for i in range(n)]
+
+    def mu(self, m, n, t, us):
+        us = tuple(us)
+        return us[0] if us else t
+
+    def iota(self, m, i):
+        return f"x{i}"
+
+
+def test_to_subst_reports_a_broken_table_in_elements(tmp_path, capsys, monkeypatch):
+    broken = NamedFirstSubstituend()
+    monkeypatch.setattr(cli, "builtin_clone", lambda name: broken)
+    out_path = tmp_path / "broken.json"
+    argv = ["to-subst", "--builtin", "x", "--bound", "4", "--format", "json"]
+    code, out = run(capsys, *argv, "--output", str(out_path))
+    assert code == EXIT_FAIL
+    algebra = s_functor(broken, Budget())
+    want = check_presentation(algebra, 4, CheckPolicy())
+    assert not want.passed
+    checks = json.loads(out)["checks"]
+    assert [c["counterexample"] for c in checks] == [
+        describe(c.counterexample) for c in want.checks
+    ]
+    assert "x0" in json.dumps([c["counterexample"] for c in checks])
+    assert out_path.read_text() == dump_subst_algebra(truncate_algebra(algebra, 4))
+
+
+def test_to_subst_notes_the_stage_a_finite_clone_lacks(tmp_path, capsys):
+    meet = tmp_path / "meet.json"
+    meet.write_text(MEET)
+    code = main(["to-subst", "--algebra", str(meet), "--max-arity", "2"])
+    captured = capsys.readouterr()
+    assert code == EXIT_PASS
+    assert "PASS presentation:act-compose" in captured.out
+    assert "incomplete: bound 3 lowered to 2: carrier C_3 not constructed" in captured.out
+    assert re.fullmatch(r"elapsed: \d+\.\d\ds\n", captured.err)
+
+
+def test_to_subst_output_beyond_a_finite_clone_exits_two(tmp_path, capsys):
+    meet = tmp_path / "meet.json"
+    meet.write_text(MEET)
+    out_path = tmp_path / "out.json"
+    argv = ["to-subst", "--algebra", str(meet), "--max-arity", "2", "--output", str(out_path)]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == EXIT_INPUT
+    assert captured.out == ""
+    assert captured.err == "error: carrier C_3 not constructed: clone was closed up to arity 2\n"
+    assert not out_path.exists()
 
 
 def test_check_subst_broken_fixture_exits_one(tmp_path, capsys):

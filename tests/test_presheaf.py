@@ -21,6 +21,7 @@ from clone_forge.iso_bridge import s_functor
 from clone_forge.presheaf_f import (
     BulletPresheaf,
     DeltaStructure,
+    Presheaf,
     ProductPresheaf,
     StageRangeError,
     Strengths,
@@ -79,6 +80,47 @@ def assert_same_check(got, want):
         assert list(got.counterexample) == list(want.counterexample)
 
 
+class ElementView(Presheaf):
+    """A presheaf's stages and action, hiding its stored tables."""
+
+    def __init__(self, P):
+        self.P = P
+
+    def set(self, m):
+        return self.P.set(m)
+
+    def act(self, f, x):
+        return self.P.act(f, x)
+
+
+COMPOSE_LAWS = {"compose-action": ("f g x lhs rhs", True), "act-compose": ("g f x lhs rhs", False)}
+
+
+def compose_law(P, law, bound, policy, combos=None):
+    """The LawCheck of law from compose_families on P's stored tables.
+
+    Asserted equal to the same families with plain axes (ElementView), to
+    them with every sides wrapped in ``lambda *a``, as a tracer wraps it,
+    and to reference_compose_law.  combos, when given, keeps only the
+    families with those labels.
+    """
+    names, composite_lhs = COMPOSE_LAWS[law]
+    carriers = {m: P.set(m) for m in range(bound + 1)}
+
+    def run(Q, wrap=lambda sides: sides):
+        return check_law(law, policy, names, [
+            (combo, fixed, axes, wrap(sides))
+            for combo, fixed, axes, sides in compose_families(Q, carriers, composite_lhs)
+            if combos is None or combo in combos
+        ])
+
+    check = run(P)
+    assert_same_check(run(P, lambda sides: lambda *a: sides(*a)), check)
+    assert_same_check(run(ElementView(P)), check)
+    assert_same_check(reference_compose_law(P, law, bound, policy, combos), check)
+    return check
+
+
 def test_representable_carriers_and_action():
     V = representable_V()
     assert V.set(3) == [0, 1, 2]
@@ -105,7 +147,7 @@ def test_functoriality_catches_corrupted_table():
     check = report.check("compose-action")
     assert not check.passed
     assert {"f", "g", "x"} <= set(check.counterexample)
-    assert_same_check(check, reference_compose_law(bad, "compose-action", 3, CheckPolicy()))
+    assert_same_check(check, compose_law(bad, "compose-action", 3, CheckPolicy()))
 
 
 def test_compose_breaker_matches_reference():
@@ -132,16 +174,46 @@ def test_sampled_composition_failure_matches_reference():
         (v + 1) % 4 if i == x else v for i, v in enumerate(P.table(f))
     )}
     bad = TruncatedPresheaf(4, P.carrier_sizes, actions)
-    carriers = {m: bad.set(m) for m in range(5)}
-    families = [fam for fam in compose_families(bad, carriers, True) if fam[0] == "4->4->4"]
-    check = check_law("compose-action", policy, "f g x lhs rhs", families)
+    check = compose_law(bad, "compose-action", 4, policy, {"4->4->4"})
     assert (check.passed, check.mode, check.instances) == (False, "sampled", 719)
-    want = reference_compose_law(bad, "compose-action", 4, policy, {"4->4->4"})
-    assert_same_check(check, want)
     # the whole law meets the corruption first in a smaller, exhaustive combo
     check = check_functoriality(bad, 4).check("compose-action")
     assert not check.passed
-    assert_same_check(check, reference_compose_law(bad, "compose-action", 4, CheckPolicy()))
+    assert_same_check(check, compose_law(bad, "compose-action", 4, CheckPolicy()))
+
+
+@pytest.mark.parametrize("law", sorted(COMPOSE_LAWS))
+def test_terminal_tables_compose_a_block_at_a_time(law):
+    # stage 0 of S(terminal) has one element, so the combos 0->m->n have a
+    # first map with an empty table and rows of length one
+    P = truncate_presheaf(s_functor(builtin_clone("terminal")).base, 4)
+    assert P.carrier_sizes == [1] * 5
+    policies = ((CheckPolicy(), "exhaustive"), (CheckPolicy(exhaustive_threshold=100), "sampled"))
+    for policy, mode in policies:
+        check = compose_law(P, law, 4, policy)
+        assert (check.passed, check.mode) == (True, mode)
+    stage_zero = compose_law(P, law, 4, CheckPolicy(), {"0->0->0", "0->2->3"})
+    assert (stage_zero.passed, stage_zero.mode, stage_zero.instances) == (True, "exhaustive", 10)
+
+
+@pytest.mark.parametrize("law", sorted(COMPOSE_LAWS))
+@pytest.mark.parametrize("second, position", [((0, 0), 0), ((2, 2), 8)])
+def test_block_mismatch_at_a_second_map_and_the_last_x(law, second, position):
+    # second's row in S(initial) is its table; moving entry 1 breaks the
+    # pairs whose first row meets 1: first the second first map (0, 0, 1),
+    # at the last x, so the failure is at second's position in that block
+    P = truncate_presheaf(s_functor(builtin_clone("initial")).base, 3)
+    actions = dict(P.actions)
+    actions[(2, 3)] = {**actions[(2, 3)], second: (second[0], (second[1] + 1) % 3)}
+    bad = TruncatedPresheaf(3, P.carrier_sizes, actions)
+    check = compose_law(bad, law, 3, CheckPolicy(), {"3->2->3"})
+    assert (check.passed, check.mode) == (False, "exhaustive")
+    assert check.instances == 9 * 3 + position * 3 + 3
+    witness = check.counterexample
+    maps = ("f", "g") if law == "compose-action" else ("g", "f")
+    assert (witness[maps[0]].table, witness[maps[1]].table) == ((0, 0, 1), second)
+    assert witness["x"] == 2
+    assert not compose_law(bad, law, 3, CheckPolicy()).passed
 
 
 @pytest.mark.parametrize(
