@@ -12,7 +12,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from clone_forge.clone import Budget, FreeClone, Signature, finite_clone_of_algebra
+from clone_forge.clone import Budget, FiniteClone, FreeClone, Signature
 from clone_forge.corpus import meet_semilattice
 
 
@@ -22,7 +22,7 @@ def main() -> int:
     parser.add_argument("--max-depth", type=int, default=3)
     args = parser.parse_args()
 
-    meet = finite_clone_of_algebra(meet_semilattice(), args.max_arity)
+    meet = FiniteClone(meet_semilattice(), args.max_arity)
     print("meet-semilattice clone:")
     print(f"{'n':>4} {'closure':>8} {'2^n-1':>8}")
     for n in range(1, args.max_arity + 1):

@@ -19,7 +19,6 @@ from .clone import (
     builtin_clone,
     clone_hom_check,
     clone_laws_check,
-    finite_clone_of_algebra,
     free_iota,
     free_mu,
     theory_compose,
@@ -57,9 +56,7 @@ from .presheaf_f import (
     check_delta_laws,
     check_functoriality,
     delta_apply,
-    delta_structure,
     representable_V,
-    strengths,
     truncate_presheaf,
 )
 from .subst_algebra import (

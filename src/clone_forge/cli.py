@@ -15,19 +15,19 @@ import sys
 import time
 from dataclasses import dataclass
 
-from . import corpus
+from . import demo
 from .checks import CarrierUnavailable, CheckPolicy, LawCheck, Report, describe
 from .clone import (
     Budget,
     ContextError,
+    FiniteClone,
     FreeClone,
     builtin_clone,
     clone_laws_check,
     enumerate_theory_homs,
-    finite_clone_of_algebra,
     theory_laws_check,
 )
-from .fin_cat import ShapeError, check_symmetric_monoid, generators, identity
+from .fin_cat import ShapeError, check_symmetric_monoid, generators
 from .io_formats import (
     SchemaError,
     dump_subst_algebra,
@@ -36,19 +36,12 @@ from .io_formats import (
     load_subst_algebra,
 )
 from .iso_bridge import c_functor, roundtrip_alg, roundtrip_clone, s_functor
-from .presheaf_f import (
-    StageRangeError,
-    check_delta_laws,
-    check_functoriality,
-    representable_V,
-)
+from .presheaf_f import StageRangeError
 from .subst_algebra import (
-    LAW_MAPPING,
+    agreement_report,
     check_diagrams,
     check_presentation,
-    hom_check,
     truncate_algebra,
-    variable_family,
 )
 
 EXIT_PASS = 0
@@ -82,6 +75,8 @@ class RunConfig:
             raise InputError("bound must be at least 2 (laws use two stages of headroom)")
         if self.depth < 0 or self.max_arity < 0:
             raise InputError("depth and max-arity must be non-negative")
+        if self.src < 0 or self.dst < 0:
+            raise InputError("src and dst must be non-negative")
         if self.fmt not in ("text", "json"):
             raise InputError(f"unknown format {self.fmt!r}")
 
@@ -114,7 +109,7 @@ def _clone_from_flags(config: RunConfig):
     if config.signature:
         return FreeClone(load_signature(config.signature))
     algebra = load_finite_algebra(config.algebra)
-    return finite_clone_of_algebra(algebra, config.max_arity)
+    return FiniteClone(algebra, config.max_arity)
 
 
 def _carrier_note(clone, budget: Budget) -> str:
@@ -125,25 +120,6 @@ def _carrier_note(clone, budget: Budget) -> str:
         except CarrierUnavailable:
             sizes.append(None)
     return f"carrier sizes C_0..C_{budget.max_arity}: {sizes}"
-
-
-def _agreement_report(pres: Report, diag: Report) -> Report:
-    """Verdict agreement between the two presentations, law for law."""
-    report = Report()
-    for eq_law, diagram_law in LAW_MAPPING.items():
-        left = pres.check(eq_law)
-        right = diag.check(diagram_law)
-        agree = left.passed == right.passed
-        witness = None
-        if not agree:
-            witness = {
-                "equation-verdict": left.passed,
-                "diagram-verdict": right.passed,
-            }
-        report.checks.append(
-            LawCheck(f"{eq_law}<->{diagram_law}", agree, "exhaustive", 1, witness)
-        )
-    return report
 
 
 def cmd_check_f(config: RunConfig):
@@ -165,7 +141,7 @@ def cmd_finite_clone(config: RunConfig):
     if not config.input:
         raise InputError("finite-clone needs --input FILE")
     algebra = load_finite_algebra(config.input)
-    clone = finite_clone_of_algebra(algebra, config.max_arity)
+    clone = FiniteClone(algebra, config.max_arity)
     budget = _budget(config)
     report = clone_laws_check(clone, budget, _policy(config))
     report.notes.append(_carrier_note(clone, budget))
@@ -228,7 +204,7 @@ def cmd_check_subst(config: RunConfig):
     return [
         ("presentation", pres),
         ("diagrams", diag),
-        ("agreement", _agreement_report(pres, diag)),
+        ("agreement", agreement_report(pres, diag)),
     ]
 
 
@@ -262,72 +238,8 @@ def cmd_enum_hom(config: RunConfig):
 
 
 def cmd_demo(config: RunConfig):
-    budget, policy = _budget(config), _policy(config)
-    bound = config.bound
-    sections = []
-
-    g = generators()
-    sections.append(("fin-cat", check_symmetric_monoid(g.c, g.w, g.s)))
-    mutated = check_symmetric_monoid(g.c, g.w, identity(2))
-    detection = Report()
-    detection.checks.append(
-        LawCheck(
-            "detects-swap-mutation",
-            not mutated.check("insert-swap").passed,
-            "exhaustive",
-            1,
-            None,
-        )
-    )
-    sections.append(("fin-cat-mutation", detection))
-
-    clones = corpus.standard_clones(max_arity=max(budget.max_arity, 4))
-    del clones["free-b2"]
-    for name, clone in clones.items():
-        sections.append((f"clone-laws:{name}", clone_laws_check(clone, budget, policy)))
-    sections.append(
-        ("theory-laws:initial", theory_laws_check(clones["initial"], bound, budget, policy))
-    )
-
-    V = representable_V()
-    sections.append(("functoriality:V", check_functoriality(V, bound, policy)))
-    sections.append(("delta-laws:V", check_delta_laws(V, bound, policy)))
-    s_initial = s_functor(clones["initial"], budget)
-    sections.append(("delta-laws:S(initial)", check_delta_laws(s_initial.base, bound, policy)))
-
-    for name, clone in clones.items():
-        algebra = s_functor(clone, budget)
-        pres = check_presentation(algebra, bound, policy)
-        diag = check_diagrams(algebra, bound, policy)
-        sections.append((f"presentation:S({name})", pres))
-        sections.append((f"diagrams:S({name})", diag))
-        sections.append((f"agreement:S({name})", _agreement_report(pres, diag)))
-
-    for name, clone in clones.items():
-        sections.append((f"roundtrip-clone:{name}", roundtrip_clone(clone, budget, policy)))
-    sections.append(("roundtrip-algebra:S(initial)", roundtrip_alg(s_initial, bound, budget, policy)))
-
-    for target in ("meet", "terminal"):
-        algebra = s_functor(clones[target], budget)
-        family = variable_family(algebra)
-        sections.append(
-            (f"hom:variables->S({target})", hom_check(family, s_initial, algebra, bound, policy))
-        )
-
-    detection = Report()
-    for law, mutant in corpus.designed_mutants():
-        report = check_presentation(mutant.algebra, mutant.bound, policy)
-        detection.checks.append(
-            LawCheck(
-                f"detects:{mutant.name}",
-                law in report.failed_laws(),
-                "exhaustive",
-                1,
-                None if law in report.failed_laws() else {"failed": report.failed_laws()},
-            )
-        )
-    sections.append(("mutation-sensitivity", detection))
-    return sections
+    settings = demo.Settings(config.bound, config.depth, config.max_arity, config.seed or 0)
+    return demo.run(settings)
 
 
 _HANDLERS = {

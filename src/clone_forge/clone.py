@@ -345,10 +345,6 @@ class FiniteClone(Clone):
         return tuple((j // stride) % k for j in range(k**m))
 
 
-def finite_clone_of_algebra(algebra: FiniteAlgebra, max_arity: int) -> FiniteClone:
-    return FiniteClone(algebra, max_arity)
-
-
 STAR = "*"
 
 

@@ -16,10 +16,10 @@ from .clone import (
     Budget,
     Clone,
     FiniteAlgebra,
+    FiniteClone,
     FreeClone,
     Signature,
     builtin_clone,
-    finite_clone_of_algebra,
 )
 from .fin_cat import FinMap
 from .iso_bridge import s_functor
@@ -39,7 +39,7 @@ def standard_clones(max_arity: int = 4) -> dict[str, Clone]:
         "arrow": builtin_clone("arrow"),
         "free-b2e0": FreeClone(Signature({"b": 2, "e": 0})),
         "free-b2": FreeClone(Signature({"b": 2})),
-        "meet": finite_clone_of_algebra(meet_semilattice(), max_arity),
+        "meet": FiniteClone(meet_semilattice(), max_arity),
     }
 
 
@@ -145,7 +145,7 @@ def mutant_battery() -> list[Mutant]:
                 )
 
     meet_alg = truncate_algebra(
-        s_functor(finite_clone_of_algebra(meet_semilattice(), 4)), 4, "meet-table"
+        s_functor(FiniteClone(meet_semilattice(), 4)), 4, "meet-table"
     )
     # a substitution bump at stage 2, where the meet carrier first has room
     mutants.append(

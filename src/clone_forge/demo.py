@@ -1,0 +1,195 @@
+"""The ``demo`` command: independent check sections run on every usable CPU.
+
+The demo checks each presentation of the corpus theories in its own
+sections, and no section reads another's result.  So the sections are split
+into jobs; each job builds its own inputs from the corpus and returns its
+``(section, Report)`` pairs.  A job is a module-level function plus plain
+arguments, so it pickles under any multiprocessing start method.  Jobs run
+in worker processes, longest first, and their results are put back in job
+order, which is the report's section order: stdout does not depend on the
+number of workers or on which job finishes first.
+"""
+
+from __future__ import annotations
+
+import os
+from collections.abc import Callable
+from typing import NamedTuple
+
+from . import corpus
+from .checks import CheckPolicy, LawCheck, Report
+from .clone import Budget, clone_laws_check, theory_laws_check
+from .fin_cat import check_symmetric_monoid, generators, identity
+from .iso_bridge import roundtrip_alg, roundtrip_clone, s_functor
+from .presheaf_f import check_delta_laws, check_functoriality, representable_V
+from .subst_algebra import (
+    agreement_report,
+    check_diagrams,
+    check_presentation,
+    hom_check,
+    variable_family,
+)
+
+# the standard clones the demo checks, in report order (free-b2 is left out)
+CLONES = ("initial", "terminal", "arrow", "free-b2e0", "meet")
+
+
+class Settings(NamedTuple):
+    bound: int
+    depth: int
+    max_arity: int
+    seed: int
+
+
+class Job(NamedTuple):
+    cost: float  # expected seconds; sets the dispatch order and nothing else
+    fn: Callable
+    args: tuple
+
+
+def _inputs(settings: Settings):
+    budget = Budget(max_depth=settings.depth, max_arity=settings.max_arity)
+    clones = corpus.standard_clones(max_arity=max(settings.max_arity, 4))
+    return budget, CheckPolicy(seed=settings.seed), clones
+
+
+def fin_cat_job(settings: Settings):
+    g = generators()
+    sections = [("fin-cat", check_symmetric_monoid(g.c, g.w, g.s))]
+    mutated = check_symmetric_monoid(g.c, g.w, identity(2))
+    detection = Report()
+    detection.checks.append(
+        LawCheck(
+            "detects-swap-mutation",
+            not mutated.check("insert-swap").passed,
+            "exhaustive",
+            1,
+            None,
+        )
+    )
+    sections.append(("fin-cat-mutation", detection))
+    return sections
+
+
+def clone_laws_job(settings: Settings, name: str):
+    budget, policy, clones = _inputs(settings)
+    return [(f"clone-laws:{name}", clone_laws_check(clones[name], budget, policy))]
+
+
+def theory_laws_job(settings: Settings):
+    budget, policy, clones = _inputs(settings)
+    report = theory_laws_check(clones["initial"], settings.bound, budget, policy)
+    return [("theory-laws:initial", report)]
+
+
+def presheaf_job(settings: Settings):
+    budget, policy, clones = _inputs(settings)
+    V = representable_V()
+    s_initial = s_functor(clones["initial"], budget)
+    return [
+        ("functoriality:V", check_functoriality(V, settings.bound, policy)),
+        ("delta-laws:V", check_delta_laws(V, settings.bound, policy)),
+        ("delta-laws:S(initial)", check_delta_laws(s_initial.base, settings.bound, policy)),
+    ]
+
+
+def presentation_job(settings: Settings, name: str):
+    budget, policy, clones = _inputs(settings)
+    algebra = s_functor(clones[name], budget)
+    pres = check_presentation(algebra, settings.bound, policy)
+    diag = check_diagrams(algebra, settings.bound, policy)
+    return [
+        (f"presentation:S({name})", pres),
+        (f"diagrams:S({name})", diag),
+        (f"agreement:S({name})", agreement_report(pres, diag)),
+    ]
+
+
+def roundtrip_clone_job(settings: Settings, name: str):
+    budget, policy, clones = _inputs(settings)
+    return [(f"roundtrip-clone:{name}", roundtrip_clone(clones[name], budget, policy))]
+
+
+def tail_job(settings: Settings):
+    budget, policy, clones = _inputs(settings)
+    bound = settings.bound
+    s_initial = s_functor(clones["initial"], budget)
+    sections = [
+        ("roundtrip-algebra:S(initial)", roundtrip_alg(s_initial, bound, budget, policy))
+    ]
+    for target in ("meet", "terminal"):
+        algebra = s_functor(clones[target], budget)
+        family = variable_family(algebra)
+        sections.append(
+            (f"hom:variables->S({target})", hom_check(family, s_initial, algebra, bound, policy))
+        )
+    detection = Report()
+    for law, mutant in corpus.designed_mutants():
+        report = check_presentation(mutant.algebra, mutant.bound, policy)
+        detection.checks.append(
+            LawCheck(
+                f"detects:{mutant.name}",
+                law in report.failed_laws(),
+                "exhaustive",
+                1,
+                None if law in report.failed_laws() else {"failed": report.failed_laws()},
+            )
+        )
+    sections.append(("mutation-sensitivity", detection))
+    return sections
+
+
+def demo_jobs(settings: Settings) -> list[Job]:
+    """The demo's jobs, in section order."""
+
+    def per_clone(fn, costs):
+        return [Job(costs.get(name, 0.0), fn, (settings, name)) for name in CLONES]
+
+    # costs: seconds in-process at default flags, measured; 0.0 is under 0.1 s
+    return [
+        Job(0.0, fin_cat_job, (settings,)),
+        *per_clone(clone_laws_job, {"free-b2e0": 6.5, "meet": 0.8}),
+        Job(1.0, theory_laws_job, (settings,)),
+        Job(0.0, presheaf_job, (settings,)),
+        *per_clone(presentation_job, {"free-b2e0": 3.6}),
+        *per_clone(roundtrip_clone_job, {"free-b2e0": 1.0}),
+        Job(0.2, tail_job, (settings,)),
+    ]
+
+
+def usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def run_jobs(jobs: list[Job]) -> list:
+    """Run ``jobs`` in worker processes, longest first; results come in job order.
+
+    There is one worker per usable CPU, at most one per job.  A job's
+    exception re-raises here with its own type; a worker that dies raises
+    ``concurrent.futures.process.BrokenProcessPool``.
+    """
+    # imported here, so that importing clone_forge does not load the pool
+    import multiprocessing
+    from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
+
+    workers = min(usable_cpus(), len(jobs))
+    # spawn: workers start from a fresh import, whatever the parent holds
+    context = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(workers, mp_context=context) as pool:
+        futures = [None] * len(jobs)
+        for i in sorted(range(len(jobs)), key=lambda i: -jobs[i].cost):
+            futures[i] = pool.submit(jobs[i].fn, *jobs[i].args)
+        done, pending = wait(futures, return_when=FIRST_EXCEPTION)
+        if pending:  # a job raised: drop the queued jobs and re-raise
+            for future in pending:
+                future.cancel()
+            next(f for f in done if f.exception() is not None).result()
+        return [future.result() for future in futures]
+
+
+def run(settings: Settings):
+    """Every demo section, in report order."""
+    return [section for sections in run_jobs(demo_jobs(settings)) for section in sections]

@@ -35,6 +35,11 @@ class StageRangeError(CarrierUnavailable):
         self.stage = stage
         super().__init__(message or f"stage {stage} exceeds the stored bound")
 
+    def __reduce__(self):
+        # pickle both arguments, so a copy sent from a worker process keeps
+        # its message instead of wrapping it in the default one again
+        return type(self), (self.stage, str(self))
+
 
 class Presheaf:
     """A functor from finite ordinals to sets with enumerable stages."""
@@ -240,10 +245,6 @@ class DeltaStructure:
         return self.presheaf.act(swap_map(m), x)
 
 
-def delta_structure(P: Presheaf) -> DeltaStructure:
-    return DeltaStructure(P)
-
-
 class Strengths:
     """The concrete strength maps for the shift monad on a pair of presheaves.
 
@@ -269,10 +270,6 @@ class Strengths:
 
     def dist_at(self, m: int, a, b):
         return (self.P.act(swap_map(m), a), b)
-
-
-def strengths(P: Presheaf, Q: Presheaf) -> Strengths:
-    return Strengths(P, Q)
 
 
 def ell(m: int, pair):

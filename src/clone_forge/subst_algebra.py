@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from functools import partial
 
-from .checks import CheckPolicy, Report, check_law
+from .checks import CheckPolicy, LawCheck, Report, check_law
 from .fin_cat import FinMap, enumerate_maps, identity, new, shifted
 from .presheaf_f import (
     DeltaPresheaf,
@@ -296,6 +296,25 @@ def check_diagrams(
         (f"m={m}", (m,), [A[m + 2], A[m + 1], A[m]], partial(associativity, m))
         for m in lower
     )))
+    return report
+
+
+def agreement_report(pres: Report, diag: Report) -> Report:
+    """Verdict agreement between the two presentations, law for law."""
+    report = Report()
+    for eq_law, diagram_law in LAW_MAPPING.items():
+        left = pres.check(eq_law)
+        right = diag.check(diagram_law)
+        agree = left.passed == right.passed
+        witness = None
+        if not agree:
+            witness = {
+                "equation-verdict": left.passed,
+                "diagram-verdict": right.passed,
+            }
+        report.checks.append(
+            LawCheck(f"{eq_law}<->{diagram_law}", agree, "exhaustive", 1, witness)
+        )
     return report
 
 

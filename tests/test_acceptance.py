@@ -8,6 +8,7 @@ threshold, reported as such in each check's mode.
 import hashlib
 import itertools
 import json
+import os
 import subprocess
 import sys
 import time
@@ -18,11 +19,11 @@ from clone_forge.checks import CheckPolicy
 from clone_forge.clone import (
     Budget,
     FiniteAlgebra,
+    FiniteClone,
     FreeClone,
     Signature,
     builtin_clone,
     clone_laws_check,
-    finite_clone_of_algebra,
     free_mu,
 )
 from clone_forge.corpus import (
@@ -54,7 +55,7 @@ def corpus_clones():
         "terminal": builtin_clone("terminal"),
         "arrow": builtin_clone("arrow"),
         "free-b2e0": FreeClone(FREE_SIG),
-        "meet": finite_clone_of_algebra(meet_semilattice(), 4),
+        "meet": FiniteClone(meet_semilattice(), 4),
     }
 
 
@@ -83,7 +84,7 @@ def test_criterion_2_clone_laws():
     budget = Budget(max_depth=2, max_arity=3)
     free_report = clone_laws_check(FreeClone(FREE_SIG), budget)
     meet_report = clone_laws_check(
-        finite_clone_of_algebra(meet_semilattice(), 3), Budget(max_arity=3)
+        FiniteClone(meet_semilattice(), 3), Budget(max_arity=3)
     )
     ok = free_report.passed and meet_report.passed
     record("criterion-2 clone-laws", ok, time.perf_counter() - started, 30)
@@ -108,7 +109,7 @@ def test_criterion_3_finite_clone_oracle():
         return elems
 
     oracle_sizes = [len(independent_min_closure(n)) for n in range(1, 5)]
-    clone = finite_clone_of_algebra(meet_semilattice(), 4)
+    clone = FiniteClone(meet_semilattice(), 4)
     api_sizes = [len(clone.elems(n)) for n in range(1, 5)]
     expected = [2**n - 1 for n in range(1, 5)]
     ok = oracle_sizes == expected == api_sizes
@@ -137,7 +138,7 @@ def test_criterion_5_presentation_equivalence():
     structures.append(
         ("initial-table", truncate_algebra(s_functor(builtin_clone("initial")), 4), 4)
     )
-    meet_clone = finite_clone_of_algebra(meet_semilattice(), 4)
+    meet_clone = FiniteClone(meet_semilattice(), 4)
     structures.append(
         ("meet-table", truncate_algebra(s_functor(meet_clone), 4), 4)
     )
@@ -267,3 +268,14 @@ def test_criterion_10_cli_determinism():
         and hashlib.sha256(first.stdout.encode()).hexdigest() == DEMO_SHA256
     )
     record("criterion-10 cli-determinism", ok, time.perf_counter() - started, 300)
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity here")
+def test_demo_on_one_cpu_matches_the_pinned_digest():
+    cpu = min(os.sched_getaffinity(0))
+    cmd = [sys.executable, "-m", "clone_forge.cli", "demo", "--format", "json"]
+    run = subprocess.run(
+        cmd, capture_output=True, text=True, preexec_fn=lambda: os.sched_setaffinity(0, {cpu})
+    )
+    assert run.returncode == 0
+    assert hashlib.sha256(run.stdout.encode()).hexdigest() == DEMO_SHA256

@@ -275,6 +275,15 @@ def test_enum_hom_counts(capsys):
     assert "hom-set size: 9" in out
 
 
+@pytest.mark.parametrize("flag", ["--src", "--dst"])
+def test_enum_hom_rejects_a_negative_arity(capsys, flag):
+    code = main(["enum-hom", "--builtin", "initial", flag, "-1"])
+    captured = capsys.readouterr()
+    assert code == EXIT_INPUT
+    assert captured.out == ""
+    assert captured.err == "error: src and dst must be non-negative\n"
+
+
 def test_env_var_overrides_format(capsys, monkeypatch):
     monkeypatch.setenv(FORMAT_ENV, "json")
     code, out = run(capsys, "check-f", "--format", "text")

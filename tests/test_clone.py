@@ -14,6 +14,7 @@ from clone_forge.clone import (
     Clone,
     ContextError,
     FiniteAlgebra,
+    FiniteClone,
     FreeClone,
     Signature,
     TheoryHom,
@@ -21,7 +22,6 @@ from clone_forge.clone import (
     builtin_clone,
     clone_hom_check,
     clone_laws_check,
-    finite_clone_of_algebra,
     free_iota,
     free_mu,
     theory_compose,
@@ -172,7 +172,7 @@ def test_meet_clone_carrier_sizes_against_independent_closure():
                     changed = True
         return elems
 
-    clone = finite_clone_of_algebra(FiniteAlgebra(2, {"meet": (2, (0, 0, 0, 1))}), 4)
+    clone = FiniteClone(FiniteAlgebra(2, {"meet": (2, (0, 0, 0, 1))}), 4)
     for n in range(1, 5):
         oracle = min_closure(n)
         assert len(oracle) == 2**n - 1
@@ -180,20 +180,20 @@ def test_meet_clone_carrier_sizes_against_independent_closure():
 
 
 def test_constant_algebra_carrier():
-    clone = finite_clone_of_algebra(FiniteAlgebra(2, {"e": (0, (1,))}), 3)
+    clone = FiniteClone(FiniteAlgebra(2, {"e": (0, (1,))}), 3)
     assert len(clone.elems(2)) == 3  # two projections and the constant
     assert (1, 1, 1, 1) in clone.elems(2)
 
 
 def test_projections_always_present():
-    clone = finite_clone_of_algebra(FiniteAlgebra(2, {"meet": (2, (0, 0, 0, 1))}), 3)
+    clone = FiniteClone(FiniteAlgebra(2, {"meet": (2, (0, 0, 0, 1))}), 3)
     for n in range(1, 4):
         for i in range(n):
             assert clone.iota(n, i) in clone.elems(n)
 
 
 def test_finite_clone_gates_arity():
-    clone = finite_clone_of_algebra(FiniteAlgebra(2, {"meet": (2, (0, 0, 0, 1))}), 2)
+    clone = FiniteClone(FiniteAlgebra(2, {"meet": (2, (0, 0, 0, 1))}), 2)
     with pytest.raises(CarrierUnavailable):
         clone.elems(3)
 
@@ -342,7 +342,7 @@ def test_memoized_mu_still_checks_contexts():
         free.mu(3, 2, t, us)  # wrong substituend count, same memo key
     with pytest.raises(ContextError):
         free.mu(2, 1, t, us)  # x1 escapes a context of one variable
-    meet = finite_clone_of_algebra(MEET, 3)
+    meet = FiniteClone(MEET, 3)
     t, us = meet.iota(2, 0), (meet.iota(1, 0), meet.iota(1, 0))
     assert meet.mu(2, 1, t, us) == (0, 1)
     with pytest.raises(ContextError):
@@ -360,7 +360,7 @@ def test_finite_mu_matches_row_major_reference():
 
         return tuple(t[index(u[j] for u in us)] for j in range(k**n))
 
-    clone = finite_clone_of_algebra(MEET, 3)
+    clone = FiniteClone(MEET, 3)
     checked = 0
     for m, n in itertools.product(range(4), repeat=2):
         for t in clone.elems(m):
@@ -386,7 +386,7 @@ def test_clone_law_coverage_at_default_budget():
     }
     clones = {
         "free-b2e0": FreeClone(SIG),
-        "meet": finite_clone_of_algebra(MEET, 4),
+        "meet": FiniteClone(MEET, 4),
     }
     for name, clone in clones.items():
         report = clone_laws_check(clone, Budget(), CheckPolicy(seed=0))
@@ -416,7 +416,7 @@ def test_carrier_bug_is_not_a_passing_report():
 
 
 def test_arity_gate_notes_incomplete_coverage():
-    meet = finite_clone_of_algebra(MEET, 2)
+    meet = FiniteClone(MEET, 2)
     report = clone_laws_check(meet, Budget(max_arity=3))
     assert report.passed
     assert report.notes and report.notes[0].startswith("carrier C_3 unavailable")

@@ -1,0 +1,98 @@
+"""The demo's job runner: ordering, errors and worker count, on cheap jobs.
+
+Every pool here has at most two workers.  Job functions live in this module,
+so worker processes import them by name.
+"""
+
+import concurrent.futures
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+import pytest
+
+from clone_forge import demo
+from clone_forge.cli import EXIT_INPUT, main
+from clone_forge.demo import Job
+from clone_forge.presheaf_f import StageRangeError
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def nap_then(seconds, value):
+    time.sleep(seconds)
+    return value
+
+
+def started_at(value):
+    return value, time.monotonic()
+
+
+def out_of_range(stage):
+    raise StageRangeError(stage)
+
+
+def test_results_come_back_in_job_order_when_a_later_job_finishes_first(monkeypatch):
+    monkeypatch.setattr(demo, "usable_cpus", lambda: 2)
+    jobs = [Job(0.0, nap_then, (1.0, "slow")), Job(0.0, nap_then, (0.0, "fast"))]
+    assert demo.run_jobs(jobs) == ["slow", "fast"]
+
+
+def test_one_worker_takes_the_longest_job_first(monkeypatch):
+    monkeypatch.setattr(demo, "usable_cpus", lambda: 1)
+    jobs = [Job(0.0, started_at, ("short",)), Job(5.0, started_at, ("long",))]
+    (short, short_start), (long, long_start) = demo.run_jobs(jobs)
+    assert (short, long) == ("short", "long")
+    assert long_start < short_start
+
+
+def test_a_job_that_raises_stage_range_error_makes_main_exit_2(monkeypatch, capsys):
+    monkeypatch.setattr(demo, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(
+        demo, "demo_jobs", lambda settings: [Job(0.0, out_of_range, (9,)), Job(0.0, nap_then, (0.0, []))]
+    )
+    assert main(["demo"]) == EXIT_INPUT
+    assert capsys.readouterr().err == "error: stage 9 exceeds the stored bound\n"
+
+
+def test_a_worker_that_dies_ends_the_command_with_an_error():
+    code = (
+        "import os, sys\n"
+        "from clone_forge import cli, demo\n"
+        "demo.usable_cpus = lambda: 1\n"
+        "demo.demo_jobs = lambda settings: [demo.Job(0.0, os._exit, (3,))]\n"
+        "sys.exit(cli.main(['demo']))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": SRC}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode not in (0, EXIT_INPUT)
+    assert "BrokenProcessPool" in proc.stderr
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("cpus, jobs, workers", [(1, 3, 1), (2, 3, 2), (8, 2, 2), (8, 19, 8)])
+def test_worker_count_is_the_usable_cpus_capped_at_the_jobs(monkeypatch, cpus, jobs, workers):
+    seen = []
+
+    class NoPool(Exception):
+        pass
+
+    def record(max_workers, mp_context):
+        seen.append(max_workers)
+        raise NoPool
+
+    monkeypatch.setattr(demo, "usable_cpus", lambda: cpus)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", record)
+    with pytest.raises(NoPool):
+        demo.run_jobs([Job(0.0, nap_then, (0.0, i)) for i in range(jobs)])
+    assert seen == [workers]
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity here")
+def test_usable_cpus_follow_the_affinity_mask():
+    assert demo.usable_cpus() == len(os.sched_getaffinity(0))
+

@@ -8,11 +8,11 @@ from clone_forge.clone import (
     App,
     Budget,
     FiniteAlgebra,
+    FiniteClone,
     FreeClone,
     Signature,
     Var,
     builtin_clone,
-    finite_clone_of_algebra,
     free_mu,
 )
 from clone_forge.fin_cat import FinMap
@@ -128,7 +128,7 @@ def test_s_images_are_lawful_and_c_images_are_clones():
         builtin_clone("terminal"),
         builtin_clone("arrow"),
         FREE_CONST,
-        finite_clone_of_algebra(FiniteAlgebra(2, {"meet": (2, (0, 0, 0, 1))}), 4),
+        FiniteClone(FiniteAlgebra(2, {"meet": (2, (0, 0, 0, 1))}), 4),
     ):
         alg = s_functor(clone, small)
         assert check_presentation(alg, 3).passed, clone.name
@@ -169,7 +169,7 @@ def test_roundtrip_clone_on_corpus():
         builtin_clone("initial"),
         builtin_clone("terminal"),
         builtin_clone("arrow"),
-        finite_clone_of_algebra(FiniteAlgebra(2, {"meet": (2, (0, 0, 0, 1))}), 3),
+        FiniteClone(FiniteAlgebra(2, {"meet": (2, (0, 0, 0, 1))}), 3),
     ):
         assert roundtrip_clone(clone, Budget(max_arity=3)).passed, clone.name
 

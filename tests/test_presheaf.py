@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from clone_forge.checks import CheckPolicy, LawCheck, check_law, instance_stream
-from clone_forge.clone import Budget, FreeClone, Signature, builtin_clone, finite_clone_of_algebra
+from clone_forge.clone import Budget, FiniteClone, FreeClone, Signature, builtin_clone
 from clone_forge.corpus import designed_mutants, meet_semilattice
 from clone_forge.fin_cat import (
     FinMap,
@@ -31,12 +31,10 @@ from clone_forge.presheaf_f import (
     check_functoriality,
     compose_families,
     delta_apply,
-    delta_structure,
     ell,
     ell_inverse,
     monoid_diagrams_pointwise,
     representable_V,
-    strengths,
     truncate_presheaf,
 )
 from clone_forge.subst_algebra import check_presentation, truncate_algebra
@@ -224,7 +222,7 @@ def test_composition_law_counts_pinned(name, sampled, exhaustive):
     if name == "initial":
         clone, budget = builtin_clone("initial"), None
     else:
-        clone, budget = finite_clone_of_algebra(meet_semilattice(), 4), Budget(max_arity=4)
+        clone, budget = FiniteClone(meet_semilattice(), 4), Budget(max_arity=4)
     alg = truncate_algebra(s_functor(clone, budget), 4)
     check = check_presentation(alg, 4, CheckPolicy(seed=0)).check("act-compose")
     assert (check.passed, check.mode, check.instances) == (True, "sampled", sampled)
@@ -261,7 +259,7 @@ def test_delta_shifts_stages():
 
 def test_delta_structure_concrete_tables():
     V = representable_V()
-    ds = delta_structure(V)
+    ds = DeltaStructure(V)
     # at stage 0 the merge map sends both points of V(2) to the point of V(1)
     assert [ds.mu_at(0, x) for x in V.set(2)] == [0, 0]
     # the swap exchanges the two points of V(2)
@@ -280,7 +278,7 @@ def test_delta_lowers_truncation_bound():
 
 def test_strengths_concrete_values():
     V = representable_V()
-    st_ = strengths(V, V)
+    st_ = Strengths(V, V)
     # old(1) fixes the point 0
     assert st_.right_at(1, 1, 0) == (1, 0)
     assert st_.left_at(1, 0, 1) == (0, 1)
@@ -362,7 +360,7 @@ def test_bullet_presheaf_action():
 @given(st.integers(0, 3), st.integers(0, 3))
 def test_strength_naturality_random_map(m, n):
     V = representable_V()
-    st_ = strengths(V, V)
+    st_ = Strengths(V, V)
     PP = ProductPresheaf(V, V)
     from clone_forge.fin_cat import shifted
 

@@ -19,13 +19,13 @@ from clone_forge.clone import (
     App,
     Budget,
     Clone,
+    FiniteClone,
     FreeClone,
     Signature,
     TheoryHom,
     builtin_clone,
     clone_hom_check,
     clone_laws_check,
-    finite_clone_of_algebra,
     theory_compose,
     theory_laws_check,
 )
@@ -126,7 +126,7 @@ def reports() -> dict:
     out["free:clone-hom:constant"] = clone_hom_check(
         lambda m, t: App("e", ()), free, free, Budget(max_depth=1, max_arity=2), policy
     )
-    meet = finite_clone_of_algebra(meet_semilattice(), 2)
+    meet = FiniteClone(meet_semilattice(), 2)
     out["meet-arity-2:clone-laws"] = clone_laws_check(meet, budget, policy)
     out["meet-arity-2:theory-laws"] = theory_laws_check(meet, 3, policy=policy)
     out["meet-arity-2:roundtrip-clone"] = roundtrip_clone(meet, budget, policy)
