@@ -222,18 +222,18 @@ def cmd_enum_hom(config: RunConfig):
     clone = _clone_from_flags(config)
     budget = _budget(config)
     try:
-        homs = enumerate_theory_homs(clone, config.src, config.dst, budget)
+        size, homs = enumerate_theory_homs(clone, config.src, config.dst, budget, limit=20)
     except CarrierUnavailable as exc:
         raise InputError(f"cannot enumerate hom-set: {exc}") from exc
     report = Report()
     report.checks.append(
-        LawCheck(f"hom({config.src},{config.dst})", True, "exhaustive", len(homs), None)
+        LawCheck(f"hom({config.src},{config.dst})", True, "exhaustive", size, None)
     )
-    report.notes.append(f"hom-set size: {len(homs)}")
-    for hom in homs[:20]:
+    report.notes.append(f"hom-set size: {size}")
+    for hom in homs:
         report.notes.append(f"hom: {list(hom.components)!r}")
-    if len(homs) > 20:
-        report.notes.append(f"... {len(homs) - 20} more")
+    if size > len(homs):
+        report.notes.append(f"... {size - len(homs)} more")
     return [("theory-homs", report)]
 
 

@@ -146,9 +146,12 @@ def _check_substitution(m: int, n: int, t: Term, us: tuple[Term, ...]) -> None:
             raise _context_error(u, n)
 
 
-def _subst(t: Term, us: tuple[Term, ...]) -> Term:
-    """Replace each x_i in t by us[i], once per distinct subterm of t."""
-    done: dict[Term, Term] = {}
+def _subst(t: Term, us: tuple[Term, ...], done: dict[Term, Term]) -> Term:
+    """Replace each x_i in t by us[i], once per distinct subterm.
+
+    done maps subterms already substituted along us to their results; it is
+    filled in place, so a later call along the same us reuses them.
+    """
 
     def go(s: Term) -> Term:
         if type(s) is Var:
@@ -174,7 +177,7 @@ def free_mu(m: int, n: int, t: Term, us) -> Term:
     """Simultaneously replace the m variables of t by terms over n variables."""
     us = tuple(us)
     _check_substitution(m, n, t, us)
-    return _subst(t, us)
+    return _subst(t, us, {})
 
 
 class Clone:
@@ -200,7 +203,8 @@ class FreeClone(Clone):
         ops = ",".join(f"{k}:{v}" for k, v in signature.operators.items())
         self.name = f"free({ops})"
         self._layers: dict[int, list[list[Term]]] = {}
-        self._mu_memo: dict[tuple[Term, tuple[Term, ...]], Term] = {}
+        # one table per substituend tuple: subterm -> its substitution along us
+        self._mu_memo: dict[tuple[Term, ...], dict[Term, Term]] = {}
 
     def elems(self, n: int, budget: Budget | None = None) -> list[Term]:
         depth = (budget or Budget()).max_depth
@@ -228,12 +232,14 @@ class FreeClone(Clone):
     def mu(self, m, n, t, us):
         us = tuple(us)
         _check_substitution(m, n, t, us)
-        # terms are interned, so the key hashes and compares by identity
-        key = (t, us)
-        r = self._mu_memo.get(key)
-        if r is None:
-            r = self._mu_memo[key] = _subst(t, us)
-        return r
+        # terms are interned, so us hashes and compares by identity; the
+        # result depends on t and us alone, not on m or n
+        done = self._mu_memo.get(us)
+        if done is None:
+            done = self._mu_memo[us] = {}
+        # a whole-term hit skips building _subst's closure
+        r = done.get(t)
+        return _subst(t, us, done) if r is None else r
 
     def iota(self, m, i):
         return free_iota(m, i)
@@ -548,12 +554,15 @@ def theory_laws_check(
 
 
 def enumerate_theory_homs(
-    clone: Clone, m: int, n: int, budget: Budget | None = None
-) -> list[TheoryHom]:
+    clone: Clone, m: int, n: int, budget: Budget | None = None, *, limit: int
+) -> tuple[int, list[TheoryHom]]:
+    """The size of the hom-set m -> n and its first ``limit`` homs.
+
+    Only the homs returned are built, so the size may be far beyond memory.
+    """
     carrier = list(clone.elems(m, budget or Budget()))
-    return [
-        TheoryHom(m, n, combo) for combo in itertools.product(carrier, repeat=n)
-    ]
+    combos = itertools.islice(itertools.product(carrier, repeat=n), limit)
+    return len(carrier) ** n, [TheoryHom(m, n, combo) for combo in combos]
 
 
 def clone_hom_check(

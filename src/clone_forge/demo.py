@@ -145,14 +145,16 @@ def demo_jobs(settings: Settings) -> list[Job]:
     def per_clone(fn, costs):
         return [Job(costs.get(name, 0.0), fn, (settings, name)) for name in CLONES]
 
-    # costs: seconds in-process at default flags, measured; 0.0 is under 0.1 s
+    # costs: seconds in-process at default flags, each job alone in a fresh
+    # interpreter, the median of three runs on a 2-core x86-64 box with
+    # Python 3.11; 0.0 is under 0.1 s
     return [
         Job(0.0, fin_cat_job, (settings,)),
-        *per_clone(clone_laws_job, {"free-b2e0": 6.5, "meet": 0.8}),
-        Job(1.0, theory_laws_job, (settings,)),
+        *per_clone(clone_laws_job, {"free-b2e0": 4.9, "meet": 0.7}),
+        Job(0.8, theory_laws_job, (settings,)),
         Job(0.0, presheaf_job, (settings,)),
-        *per_clone(presentation_job, {"free-b2e0": 3.6}),
-        *per_clone(roundtrip_clone_job, {"free-b2e0": 1.0}),
+        *per_clone(presentation_job, {"free-b2e0": 2.4}),
+        *per_clone(roundtrip_clone_job, {"free-b2e0": 0.8}),
         Job(0.2, tail_job, (settings,)),
     ]
 

@@ -275,6 +275,28 @@ def test_enum_hom_counts(capsys):
     assert "hom-set size: 9" in out
 
 
+def test_enum_hom_counts_a_hom_set_it_could_not_hold(capsys):
+    # 2**40 homs: only the twenty that are printed are built
+    code, out = run(
+        capsys, "enum-hom", "--builtin", "initial", "--src", "2", "--dst", "40"
+    )
+    assert code == EXIT_PASS
+    assert "PASS theory-homs:hom(2,40) [exhaustive, 1099511627776 instances]" in out
+    assert "hom-set size: 1099511627776" in out
+    assert out.count("hom: [") == 20
+    assert f"hom: {[0] * 40!r}" in out
+    assert "... 1099511627756 more" in out
+
+
+@pytest.mark.parametrize(("src", "dst", "size"), [("0", "0", 1), ("0", "2", 0)])
+def test_enum_hom_counts_empty_products(capsys, src, dst, size):
+    code, out = run(capsys, "enum-hom", "--builtin", "initial", "--src", src, "--dst", dst)
+    assert code == EXIT_PASS
+    assert f"hom-set size: {size}\n" in out
+    assert out.count("hom: [") == size
+    assert "more" not in out
+
+
 @pytest.mark.parametrize("flag", ["--src", "--dst"])
 def test_enum_hom_rejects_a_negative_arity(capsys, flag):
     code = main(["enum-hom", "--builtin", "initial", flag, "-1"])

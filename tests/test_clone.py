@@ -3,6 +3,7 @@
 import copy
 import itertools
 import pickle
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -108,6 +109,67 @@ def test_free_mu_associativity_instance(t, ys, zs):
     env_z = {i: tree(z) for i, z in enumerate(zs)}
     env_inner = {i: naive_subst(tree(y), env_z) for i, y in enumerate(ys)}
     assert tree(lhs) == tree(rhs) == naive_subst(tree(t), env_inner)
+
+
+def untree(encoding):
+    """The interned term with this structural encoding."""
+    if isinstance(encoding, int):
+        return Var(encoding)
+    op, args = encoding
+    return App(op, [untree(a) for a in args])
+
+
+def random_term(rng, n_vars, depth):
+    """A random term over n_vars variables, at most depth deep."""
+    roll = rng.random()
+    if depth == 0 or roll < 0.25:
+        return Var(rng.randrange(n_vars)) if n_vars and roll < 0.9 else App("e", ())
+    return App("b", (random_term(rng, n_vars, depth - 1), random_term(rng, n_vars, depth - 1)))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_free_clone_mu_matches_naive_substituter_along_shared_substituends(seed):
+    rng = random.Random(seed)
+    clone = FreeClone(SIG)
+    # substituend tuples of arity m over contexts of up to 3 variables; each
+    # tuple is reused for terms drawn from one pool per m, so whole calls and
+    # subterms repeat, along one us and along the others of its arity, at
+    # every n the tuple is valid in
+    substituends = [
+        tuple(random_term(rng, rng.randrange(4), 3) for _ in range(m))
+        for m in (0, 1, 2, 2, 3, 3)
+    ]
+    pools = {m: [random_term(rng, m, 4) for _ in range(20)] for m in range(4)}
+    calls = [(us, rng.choice(pools[len(us)])) for _ in range(60) for us in substituends]
+    rng.shuffle(calls)
+    for us, t in calls:
+        m = len(us)
+        floor = max((u.min_context for u in us), default=0)
+        n = rng.randrange(floor, floor + 3)
+        env = {i: tree(u) for i, u in enumerate(us)}
+        expected = untree(naive_subst(tree(t), env))
+        assert clone.mu(m, n, t, list(us)) is expected
+        assert free_mu(m, n, t, us) is expected
+
+
+def test_free_clone_mu_validates_calls_the_memo_could_answer():
+    clone = FreeClone(SIG)
+    t = App("b", (Var(0), Var(1)))
+    us = (App("b", (Var(1), Var(0))), Var(0))
+    assert clone.mu(2, 2, t, us) is App("b", (us[0], us[1]))
+    assert clone.mu(2, 3, t, us) is App("b", (us[0], us[1]))
+    # us needs two variables, so n=1 is too small
+    with pytest.raises(ContextError):
+        clone.mu(2, 1, t, us)
+    # two substituends, declared as three or one
+    with pytest.raises(ContextError):
+        clone.mu(3, 2, t, us)
+    with pytest.raises(ContextError):
+        clone.mu(1, 2, Var(0), us)
+    # the table along us exists, but this term needs three variables
+    with pytest.raises(ContextError):
+        clone.mu(2, 2, App("b", (Var(0), Var(2))), us)
+    assert clone.mu(2, 2, t, us) is App("b", (us[0], us[1]))
 
 
 def test_free_enumeration_deterministic_and_depth_layered():
