@@ -150,20 +150,17 @@ def _subst(t: Term, us: tuple[Term, ...], done: dict[Term, Term]) -> Term:
     """Replace each x_i in t by us[i], once per distinct subterm.
 
     done maps subterms already substituted along us to their results; it is
-    filled in place, so a later call along the same us reuses them.
+    filled in place, so a later call along the same us reuses them.  A nested
+    closure here would leave a reference cycle for the collector per call.
     """
-
-    def go(s: Term) -> Term:
-        if type(s) is Var:
-            return us[s.index]
-        r = done.get(s)
-        if r is None:
-            # a closed subterm has no variable to replace
-            r = s if s.min_context == 0 else App(s.op, [go(a) for a in s.args])
-            done[s] = r
-        return r
-
-    return go(t)
+    if type(t) is Var:
+        return us[t.index]
+    r = done.get(t)
+    if r is None:
+        # a closed subterm has no variable to replace
+        r = t if t.min_context == 0 else App(t.op, [_subst(a, us, done) for a in t.args])
+        done[t] = r
+    return r
 
 
 def free_iota(m: int, i: int) -> Term:
@@ -237,7 +234,7 @@ class FreeClone(Clone):
         done = self._mu_memo.get(us)
         if done is None:
             done = self._mu_memo[us] = {}
-        # a whole-term hit skips building _subst's closure
+        # a whole-term hit answers without a call into _subst
         r = done.get(t)
         return _subst(t, us, done) if r is None else r
 

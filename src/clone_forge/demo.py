@@ -8,11 +8,17 @@ arguments, so it pickles under any multiprocessing start method.  Jobs run
 in worker processes, longest first, and their results are put back in job
 order, which is the report's section order: stdout does not depend on the
 number of workers or on which job finishes first.
+
+Workers are forked from the parent, which has already imported everything a
+job needs, and each one is tied to the parent's life: on Linux, a parent
+killed by any signal takes its workers with it.
 """
 
 from __future__ import annotations
 
 import os
+import signal
+import sys
 from collections.abc import Callable
 from typing import NamedTuple
 
@@ -32,6 +38,8 @@ from .subst_algebra import (
 
 # the standard clones the demo checks, in report order (free-b2 is left out)
 CLONES = ("initial", "terminal", "arrow", "free-b2e0", "meet")
+
+PR_SET_PDEATHSIG = 1  # from <linux/prctl.h>
 
 
 class Settings(NamedTuple):
@@ -146,15 +154,15 @@ def demo_jobs(settings: Settings) -> list[Job]:
         return [Job(costs.get(name, 0.0), fn, (settings, name)) for name in CLONES]
 
     # costs: seconds in-process at default flags, each job alone in a fresh
-    # interpreter, the median of three runs on a 2-core x86-64 box with
-    # Python 3.11; 0.0 is under 0.1 s
+    # interpreter, the median of three to nine runs on a shared 2-core x86-64
+    # box with Python 3.11; 0.0 is under 0.1 s
     return [
         Job(0.0, fin_cat_job, (settings,)),
-        *per_clone(clone_laws_job, {"free-b2e0": 4.9, "meet": 0.7}),
-        Job(0.8, theory_laws_job, (settings,)),
+        *per_clone(clone_laws_job, {"free-b2e0": 4.1, "meet": 0.8}),
+        Job(1.0, theory_laws_job, (settings,)),
         Job(0.0, presheaf_job, (settings,)),
-        *per_clone(presentation_job, {"free-b2e0": 2.4}),
-        *per_clone(roundtrip_clone_job, {"free-b2e0": 0.8}),
+        *per_clone(presentation_job, {"free-b2e0": 2.3}),
+        *per_clone(roundtrip_clone_job, {"free-b2e0": 0.7}),
         Job(0.2, tail_job, (settings,)),
     ]
 
@@ -164,6 +172,24 @@ def usable_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+def _end_with_parent(parent: int) -> None:
+    """Worker initializer: the worker ends when the process that forked it does.
+
+    On Linux the kernel sends the worker SIGKILL when its parent ends, by
+    whatever signal.  A parent that ended before this ran is no longer the
+    worker's parent, so the worker exits at once.
+    """
+    if sys.platform.startswith("linux"):
+        import ctypes
+
+        prctl = ctypes.CDLL(None).prctl
+        prctl.argtypes = [ctypes.c_int, ctypes.c_ulong]
+        prctl.restype = ctypes.c_int
+        prctl(PR_SET_PDEATHSIG, signal.SIGKILL)
+    if os.getppid() != parent:
+        os._exit(1)
 
 
 def run_jobs(jobs: list[Job]) -> list:
@@ -178,9 +204,12 @@ def run_jobs(jobs: list[Job]) -> list:
     from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
 
     workers = min(usable_cpus(), len(jobs))
-    # spawn: workers start from a fresh import, whatever the parent holds
-    context = multiprocessing.get_context("spawn")
-    with ProcessPoolExecutor(workers, mp_context=context) as pool:
+    # fork: workers keep the parent's imports and end by os._exit.  The pool
+    # forks them all at the first submit, before it starts its own thread.
+    context = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(
+        workers, mp_context=context, initializer=_end_with_parent, initargs=(os.getpid(),)
+    ) as pool:
         futures = [None] * len(jobs)
         for i in sorted(range(len(jobs)), key=lambda i: -jobs[i].cost):
             futures[i] = pool.submit(jobs[i].fn, *jobs[i].args)

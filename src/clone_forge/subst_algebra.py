@@ -254,8 +254,8 @@ def check_diagrams(
     """
     policy = policy or CheckPolicy()
     report = Report(mode="diagrams")
-    bound = clamp_stage(alg, bound, report)
-    A = {m: list(alg.base.set(m)) for m in range(bound + 1)}
+    A = stage_carriers(alg.base, clamp_stage(alg, bound, report), report)
+    bound = len(A) - 1
     s_at = alg.s_at
     ds = DeltaStructure(alg.base)
     st = Strengths(alg.base, alg.base)
@@ -347,7 +347,8 @@ def hom_check(
     policy = policy or CheckPolicy()
     report = Report()
     bound = min(clamp_stage(src, bound, report), clamp_stage(dst, bound, report))
-    A = {m: list(src.base.set(m)) for m in range(bound + 1)}
+    A = stage_carriers(src.base, bound, report)
+    bound = len(A) - 1
 
     def naturality(m, n, f, x):
         return h(n, src.base.act(f, x)), dst.base.act(f, h(m, x))

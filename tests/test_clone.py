@@ -1,6 +1,7 @@
 """Free and finite clones, built-ins, and the induced theory."""
 
 import copy
+import gc
 import itertools
 import pickle
 import random
@@ -170,6 +171,25 @@ def test_free_clone_mu_validates_calls_the_memo_could_answer():
     with pytest.raises(ContextError):
         clone.mu(2, 2, App("b", (Var(0), Var(2))), us)
     assert clone.mu(2, 2, t, us) is App("b", (us[0], us[1]))
+
+
+def test_free_clone_mu_misses_leave_no_cyclic_garbage():
+    rng = random.Random(0)
+    clone = FreeClone(SIG)
+    calls = [
+        (random_term(rng, 2, 4), (random_term(rng, 3, 3), random_term(rng, 3, 3)))
+        for _ in range(300)
+    ]
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        for t, us in calls:
+            clone.mu(2, 3, t, us)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_free_enumeration_deterministic_and_depth_layered():

@@ -5,7 +5,9 @@ so worker processes import them by name.
 """
 
 import concurrent.futures
+import contextlib
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -19,6 +21,7 @@ from clone_forge.demo import Job
 from clone_forge.presheaf_f import StageRangeError
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
+TESTS = str(Path(__file__).resolve().parent)
 
 
 def nap_then(seconds, value):
@@ -32,6 +35,21 @@ def started_at(value):
 
 def out_of_range(stage):
     raise StageRangeError(stage)
+
+
+def pid_then_sleep(directory):
+    (Path(directory) / str(os.getpid())).touch()
+    time.sleep(30)
+    return []
+
+
+def running(pid):
+    """Whether pid names a process that is neither gone nor a zombie."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
 
 
 def test_results_come_back_in_job_order_when_a_later_job_finishes_first(monkeypatch):
@@ -74,6 +92,43 @@ def test_a_worker_that_dies_ends_the_command_with_an_error():
     assert proc.stdout == ""
 
 
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="no /proc here")
+@pytest.mark.parametrize("sig", [signal.SIGTERM, signal.SIGKILL], ids=["SIGTERM", "SIGKILL"])
+def test_no_worker_outlives_a_killed_demo(tmp_path, sig):
+    code = (
+        "import sys\n"
+        "from clone_forge import cli, demo\n"
+        "from test_demo import pid_then_sleep\n"
+        "demo.usable_cpus = lambda: 2\n"
+        f"job = demo.Job(0.0, pid_then_sleep, ({str(tmp_path)!r},))\n"
+        "demo.demo_jobs = lambda settings: [job, job]\n"
+        "sys.exit(cli.main(['demo']))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([SRC, TESTS])}
+    proc = subprocess.Popen(
+        [sys.executable, "-c", code], env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL
+    )
+    pids = []
+    try:
+        deadline = time.monotonic() + 30
+        while len(pids) < 2 and time.monotonic() < deadline and proc.poll() is None:
+            time.sleep(0.05)
+            pids = [int(p.name) for p in tmp_path.iterdir()]
+        assert len(pids) == 2, "the workers never started their jobs"
+        proc.send_signal(sig)
+        proc.wait(timeout=10)
+        deadline = time.monotonic() + 5
+        while any(map(running, pids)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not [pid for pid in pids if running(pid)]
+    finally:
+        for pid in filter(running, pids):
+            with contextlib.suppress(ProcessLookupError):  # it may end meanwhile
+                os.kill(pid, signal.SIGKILL)
+        proc.kill()
+        proc.wait(timeout=10)
+
+
 @pytest.mark.parametrize("cpus, jobs, workers", [(1, 3, 1), (2, 3, 2), (8, 2, 2), (8, 19, 8)])
 def test_worker_count_is_the_usable_cpus_capped_at_the_jobs(monkeypatch, cpus, jobs, workers):
     seen = []
@@ -81,7 +136,7 @@ def test_worker_count_is_the_usable_cpus_capped_at_the_jobs(monkeypatch, cpus, j
     class NoPool(Exception):
         pass
 
-    def record(max_workers, mp_context):
+    def record(max_workers, mp_context, initializer, initargs):
         seen.append(max_workers)
         raise NoPool
 

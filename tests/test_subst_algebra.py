@@ -9,6 +9,7 @@ from clone_forge.corpus import (
     designed_mutants,
     mutant_battery,
     standard_algebras,
+    standard_clones,
 )
 from clone_forge.fin_cat import FinMap, old, shifted
 from clone_forge.iso_bridge import s_functor
@@ -207,6 +208,20 @@ def test_shifted_family_fails_substitution_square():
 
     report = hom_check(shifted_family, alg, alg, 3)
     assert not report.check("hom-substitution").passed
+
+
+@pytest.mark.parametrize(
+    "check",
+    [check_presentation, check_diagrams, lambda alg, bound: hom_check(lambda m, x: x, alg, alg, bound)],
+    ids=["presentation", "diagrams", "hom"],
+)
+def test_a_carrier_the_clone_never_built_lowers_the_bound_with_a_note(check):
+    meet = s_functor(standard_clones(max_arity=2)["meet"])  # no carrier C_3
+    report = check(meet, 3)
+    assert report.passed
+    assert report.notes == [
+        "incomplete: bound 3 lowered to 2: carrier C_3 not constructed: clone was closed up to arity 2"
+    ]
 
 
 def test_truncate_and_table_algebra_consistency():
