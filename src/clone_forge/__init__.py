@@ -48,6 +48,7 @@ from .iso_bridge import (
     s_on_hom,
 )
 from .presheaf_f import (
+    DeltaPresheaf,
     DeltaStructure,
     Presheaf,
     StageRangeError,
@@ -55,7 +56,6 @@ from .presheaf_f import (
     TruncatedPresheaf,
     check_delta_laws,
     check_functoriality,
-    delta_apply,
     representable_V,
     truncate_presheaf,
 )

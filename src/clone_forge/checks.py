@@ -66,6 +66,22 @@ class Report:
         return self
 
 
+def stage_carriers(carrier: Callable[[int], list], bound: int, report: Report) -> dict[int, list]:
+    """carrier(0), ..., carrier(bound), keyed by stage: what a checker covers.
+
+    Enumeration stops at the first stage whose carrier is unavailable, noting
+    in report that the bound is lowered to the last stage enumerated.
+    """
+    carriers = {}
+    for m in range(bound + 1):
+        try:
+            carriers[m] = list(carrier(m))
+        except CarrierUnavailable as exc:  # incomplete coverage, not failure
+            report.notes.append(f"incomplete: bound {bound} lowered to {m - 1}: {exc}")
+            break
+    return carriers
+
+
 def instance_stream(axes, policy: CheckPolicy, label: str):
     """Iterate the product of axes, or a seeded sample when it is too big.
 

@@ -16,7 +16,7 @@ import time
 from dataclasses import dataclass
 
 from . import demo
-from .checks import CarrierUnavailable, CheckPolicy, LawCheck, Report, describe
+from .checks import CarrierUnavailable, CheckPolicy, LawCheck, Report, describe, stage_carriers
 from .clone import (
     Budget,
     ContextError,
@@ -113,13 +113,10 @@ def _clone_from_flags(config: RunConfig):
 
 
 def _carrier_note(clone, budget: Budget) -> str:
-    sizes = []
-    for n in range(budget.max_arity + 1):
-        try:
-            sizes.append(len(clone.elems(n, budget)))
-        except CarrierUnavailable:
-            sizes.append(None)
-    return f"carrier sizes C_0..C_{budget.max_arity}: {sizes}"
+    top = budget.max_arity
+    carriers = stage_carriers(lambda n: clone.elems(n, budget), top, Report())
+    sizes = [len(c) for c in carriers.values()] + [None] * (top + 1 - len(carriers))
+    return f"carrier sizes C_0..C_{top}: {sizes}"
 
 
 def cmd_check_f(config: RunConfig):
@@ -182,15 +179,7 @@ def cmd_to_clone(config: RunConfig):
     if not config.input:
         raise InputError("to-clone needs --input FILE")
     algebra = load_subst_algebra(config.input)
-    clone = c_functor(algebra)
-    max_arity = min(config.max_arity, algebra.base.bound // 2)
-    budget = Budget(max_depth=config.depth, max_arity=max_arity)
-    report = clone_laws_check(clone, budget, _policy(config))
-    if max_arity < config.max_arity:
-        report.notes.append(
-            f"max-arity clamped to {max_arity}: substitution at arity (m,n) "
-            f"needs stage n+m within the stored bound {algebra.base.bound}"
-        )
+    report = clone_laws_check(c_functor(algebra), _budget(config), _policy(config))
     return [("clone-laws", report)]
 
 

@@ -11,7 +11,7 @@ import itertools
 from dataclasses import dataclass
 from functools import partial
 
-from .checks import CarrierUnavailable, CheckPolicy, Group, Report, check_law
+from .checks import CarrierUnavailable, CheckPolicy, Group, Report, check_law, stage_carriers
 
 
 class ContextError(ValueError):
@@ -420,21 +420,6 @@ def builtin_clone(name: str) -> Clone:
     return _BUILTINS[name]()
 
 
-def carriers_within(source, top: int, budget: Budget, report: Report) -> dict[int, list]:
-    """Carriers C_0, C_1, ... of source keyed by arity, up to C_top.
-
-    Enumeration stops, with a note in report, at the first unavailable carrier.
-    """
-    carriers: dict[int, list] = {}
-    for n in range(top + 1):
-        try:
-            carriers[n] = list(source.elems(n, budget))
-        except CarrierUnavailable as exc:  # incomplete coverage, not failure
-            report.notes.append(f"carrier C_{n} unavailable: {exc}")
-            break
-    return carriers
-
-
 def clone_laws_check(
     clone: Clone,
     budget: Budget | None = None,
@@ -444,7 +429,7 @@ def clone_laws_check(
     budget = budget or Budget()
     policy = policy or CheckPolicy()
     report = Report()
-    carriers = carriers_within(clone, budget.max_arity, budget, report)
+    carriers = stage_carriers(lambda n: clone.elems(n, budget), budget.max_arity, report)
     mu = clone.mu
 
     def associativity(l, m, n, x, *vals):
@@ -521,7 +506,7 @@ def theory_laws_check(
     policy = policy or CheckPolicy()
     comp = compose_fn or theory_compose
     report = Report()
-    carriers = carriers_within(clone, bound, budget, report)
+    carriers = stage_carriers(lambda n: clone.elems(n, budget), bound, report)
 
     def associativity(a, b, c, d, *vals):
         f = TheoryHom(c, d, vals[:d])
@@ -573,7 +558,7 @@ def clone_hom_check(
     budget = budget or Budget()
     policy = policy or CheckPolicy()
     report = Report()
-    carriers = carriers_within(src, budget.max_arity, budget, report)
+    carriers = stage_carriers(lambda n: src.elems(n, budget), budget.max_arity, report)
 
     def iota(m, i):
         return h(m, src.iota(m, i)), dst.iota(m, i)

@@ -14,10 +14,10 @@ import itertools
 from dataclasses import dataclass
 from functools import partial
 
-from .checks import CheckPolicy, Group, Report, check_law
-from .clone import Budget, Clone, carriers_within, clone_hom_check
+from .checks import CheckPolicy, Group, Report, check_law, stage_carriers
+from .clone import Budget, Clone, clone_hom_check
 from .fin_cat import FinMap, enumerate_maps
-from .presheaf_f import Presheaf, stage_carriers
+from .presheaf_f import Presheaf, StageRangeError
 from .subst_algebra import SubstAlgebra, hom_check
 
 
@@ -111,7 +111,10 @@ class AlgebraClone(Clone):
     Carriers are the algebra's stages.  Substitution shifts the subject past
     n fresh slots and then iterates single-variable substitution; projections
     are renamed variables.  On truncated algebras any operation that needs an
-    unavailable stage raises a range error naming that stage.
+    unavailable stage raises a range error naming that stage.  Substitution at
+    arity (m,n) reads stage n+m, so a stored algebra has carrier C_n only
+    while stage 2n is stored: past that, substituting among C_0..C_n would
+    read a stage the tables lack.
     """
 
     def __init__(self, algebra: SubstAlgebra):
@@ -119,6 +122,12 @@ class AlgebraClone(Clone):
         self.name = f"C({algebra.name})"
 
     def elems(self, n, budget=None):
+        top = self.algebra.base.max_stage()
+        if top is not None and 2 * n > top:
+            raise StageRangeError(
+                2 * n, f"carrier C_{n} substitutes through stage {2 * n}, "
+                f"beyond truncation bound {top}"
+            )
         return list(self.algebra.base.set(n))
 
     def iota(self, m, i):
@@ -185,7 +194,7 @@ def roundtrip_clone(
     policy = policy or CheckPolicy()
     back = c_functor(s_functor(clone, budget))
     report = Report()
-    carriers = carriers_within(clone, budget.max_arity, budget, report)
+    carriers = stage_carriers(lambda n: clone.elems(n, budget), budget.max_arity, report)
 
     def carrier(n):
         return back.elems(n, budget), carriers[n]
@@ -217,23 +226,15 @@ def roundtrip_alg(
 ) -> Report:
     """Translate an algebra to a clone and back; demand equality on the nose.
 
-    The clone of the algebra substitutes at arity (m,n) through stage n+m, so
-    checking up to bound reads stage 2*bound; on a stored algebra the bound
-    is clamped to half its top stage, with a note.  Enumerating the stages
-    stops, with a note, at the first unavailable one, which lowers the bound.
+    Checking up to bound reads the carriers C_0..C_bound of the algebra's
+    clone, and the first one it lacks lowers the bound, with a note; on a
+    stored algebra that is the first C_n whose stage 2n is not stored.
     """
     budget = budget or Budget()
     policy = policy or CheckPolicy()
     back = s_functor(c_functor(algebra), budget)
     report = Report()
-    top = algebra.max_stage()
-    if top is not None and 2 * bound > top:
-        report.notes.append(
-            f"incomplete: bound {bound} clamped to {top // 2}: substitution at arity "
-            f"(m,n) reads stage n+m of the stored stages 0..{top}"
-        )
-        bound = top // 2
-    A = stage_carriers(algebra.base, bound, report)
+    A = stage_carriers(back.base.set, bound, report)
     bound = len(A) - 1
 
     def action(f, x):

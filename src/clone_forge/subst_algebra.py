@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from functools import partial
 
-from .checks import CheckPolicy, LawCheck, Report, check_law
+from .checks import CheckPolicy, LawCheck, Report, check_law, stage_carriers
 from .fin_cat import FinMap, enumerate_maps, identity, new, shifted
 from .presheaf_f import (
     DeltaPresheaf,
@@ -24,7 +24,6 @@ from .presheaf_f import (
     compose_families,
     insert_map,
     merge_map,
-    stage_carriers,
     swap_map,
     truncate_presheaf,
 )
@@ -53,9 +52,6 @@ class SubstAlgebra:
 
     def v_at(self, m: int):
         raise NotImplementedError
-
-    def max_stage(self) -> int | None:
-        return self.base.max_stage()
 
 
 class TableSubstAlgebra(SubstAlgebra):
@@ -180,7 +176,7 @@ def check_presentation(
     """
     policy = policy or CheckPolicy()
     report = Report(mode="equations")
-    A = stage_carriers(alg.base, clamp_stage(alg, bound, report), report)
+    A = stage_carriers(alg.base.set, bound, report)
     bound = len(A) - 1
     act = alg.base.act
     s_at = alg.s_at
@@ -254,7 +250,7 @@ def check_diagrams(
     """
     policy = policy or CheckPolicy()
     report = Report(mode="diagrams")
-    A = stage_carriers(alg.base, clamp_stage(alg, bound, report), report)
+    A = stage_carriers(alg.base.set, bound, report)
     bound = len(A) - 1
     s_at = alg.s_at
     ds = DeltaStructure(alg.base)
@@ -321,10 +317,14 @@ def agreement_report(pres: Report, diag: Report) -> Report:
 def check_v_naturality(
     alg: SubstAlgebra, bound: int = 3, policy: CheckPolicy | None = None
 ) -> Report:
-    """The variable family commutes with shifted actions."""
+    """The variable family commutes with shifted actions.
+
+    v_m lives at stage m+1, so the law reads stages 0..bound; the first stage
+    the base cannot enumerate lowers the bound, with a note.
+    """
     policy = policy or CheckPolicy()
     report = Report()
-    bound = clamp_stage(alg, bound, report)
+    bound = len(stage_carriers(alg.base.set, bound, report)) - 1
 
     def naturality(m, n, f):
         return alg.base.act(shifted(f), alg.v_at(m)), alg.v_at(n)
@@ -343,11 +343,15 @@ def hom_check(
     bound: int = 3,
     policy: CheckPolicy | None = None,
 ) -> Report:
-    """Naturality of the family h plus preservation of variables and s."""
+    """Naturality of the family h plus preservation of variables and s.
+
+    The source's stages are enumerated and the target's read, so the bound
+    is lowered to the target's stored stages and then to the first stage the
+    source cannot enumerate, each with a note.
+    """
     policy = policy or CheckPolicy()
     report = Report()
-    bound = min(clamp_stage(src, bound, report), clamp_stage(dst, bound, report))
-    A = stage_carriers(src.base, bound, report)
+    A = stage_carriers(src.base.set, clamp_stage(dst.base, bound, report), report)
     bound = len(A) - 1
 
     def naturality(m, n, f, x):

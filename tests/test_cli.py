@@ -246,7 +246,8 @@ def test_to_clone_roundtrip(tmp_path, capsys):
     run(capsys, "to-subst", "--builtin", "initial", "--bound", "4", "--output", str(out_path))
     code, out = run(capsys, "to-clone", "--input", str(out_path))
     assert code == EXIT_PASS
-    assert "clamped" in out  # arity 3 needs stage 6, stored bound is 4
+    # arity 3 needs stage 6, stored bound is 4
+    assert "incomplete: bound 3 lowered to 2: carrier C_3 substitutes through stage 6" in out
 
 
 def test_roundtrip_command(capsys):

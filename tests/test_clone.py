@@ -501,4 +501,6 @@ def test_arity_gate_notes_incomplete_coverage():
     meet = FiniteClone(MEET, 2)
     report = clone_laws_check(meet, Budget(max_arity=3))
     assert report.passed
-    assert report.notes and report.notes[0].startswith("carrier C_3 unavailable")
+    assert report.notes == [
+        "incomplete: bound 3 lowered to 2: carrier C_3 not constructed: clone was closed up to arity 2"
+    ]

@@ -13,7 +13,9 @@ from clone_forge.clone import (
     Signature,
     Var,
     builtin_clone,
+    clone_laws_check,
     free_mu,
+    theory_laws_check,
 )
 from clone_forge.fin_cat import FinMap
 from clone_forge.iso_bridge import (
@@ -191,13 +193,42 @@ def test_roundtrip_alg_clamps_stored_algebra_to_half_its_stages(bound):
     report = roundtrip_alg(table, bound)
     assert report.passed
     assert report.notes == [
-        f"incomplete: bound {bound} clamped to 2: substitution at arity (m,n) "
-        "reads stage n+m of the stored stages 0..4"
+        f"incomplete: bound {bound} lowered to 2: carrier C_3 substitutes through "
+        "stage 6, beyond truncation bound 4"
     ]
     assert report.check("act-agreement").instances == roundtrip_alg(table, 2).check(
         "act-agreement"
     ).instances
     assert roundtrip_alg(table, 2).notes == []
+
+
+STORED_INITIAL = truncate_algebra(s_functor(builtin_clone("initial")), 4)
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda arity: clone_laws_check(c_functor(STORED_INITIAL), Budget(max_arity=arity)),
+        lambda arity: theory_laws_check(c_functor(STORED_INITIAL), arity),
+        lambda arity: c_on_hom(
+            lambda m, x: x, STORED_INITIAL, STORED_INITIAL, 3, Budget(max_arity=arity)
+        ),
+    ],
+    ids=["clone-laws", "theory-laws", "c-on-hom"],
+)
+def test_the_clone_of_stored_tables_lowers_its_arity_with_a_note(check):
+    # C_3 substitutes through stage 6 of tables stored up to stage 4, so
+    # arity 3 is checked as far as arity 2, with a note
+    report, at_two = check(3), check(2)
+    assert report.passed
+    assert report.notes == [
+        "incomplete: bound 3 lowered to 2: carrier C_3 substitutes through "
+        "stage 6, beyond truncation bound 4"
+    ]
+    assert at_two.notes == []
+    assert [(c.law, c.instances) for c in report.checks] == [
+        (c.law, c.instances) for c in at_two.checks
+    ]
 
 
 def test_wrong_consumption_order_breaks_roundtrip():

@@ -5,7 +5,14 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
-from clone_forge.checks import CheckPolicy, LawCheck, check_law, instance_stream
+from clone_forge.checks import (
+    CheckPolicy,
+    LawCheck,
+    Report,
+    check_law,
+    instance_stream,
+    stage_carriers,
+)
 from clone_forge.clone import Budget, FiniteClone, FreeClone, Signature, builtin_clone
 from clone_forge.corpus import designed_mutants, meet_semilattice
 from clone_forge.fin_cat import (
@@ -20,6 +27,7 @@ from clone_forge.fin_cat import (
 from clone_forge.iso_bridge import s_functor
 from clone_forge.presheaf_f import (
     BulletPresheaf,
+    DeltaPresheaf,
     DeltaStructure,
     Presheaf,
     ProductPresheaf,
@@ -30,7 +38,6 @@ from clone_forge.presheaf_f import (
     check_delta_laws,
     check_functoriality,
     compose_families,
-    delta_apply,
     ell,
     ell_inverse,
     monoid_diagrams_pointwise,
@@ -252,7 +259,7 @@ def test_functoriality_of_free_clone_presheaf():
 
 def test_delta_shifts_stages():
     V = representable_V()
-    dV = delta_apply(V)
+    dV = DeltaPresheaf(V)
     for m in range(4):
         assert dV.set(m) == list(range(m + 1))
 
@@ -269,8 +276,7 @@ def test_delta_structure_concrete_tables():
 
 def test_delta_lowers_truncation_bound():
     trunc = truncate_presheaf(representable_V(), 3)
-    shifted_once = delta_apply(trunc)
-    assert shifted_once.max_stage() == 2
+    shifted_once = DeltaPresheaf(trunc)
     assert shifted_once.set(2) == [0, 1, 2]
     with pytest.raises(StageRangeError):
         shifted_once.set(3)
@@ -321,7 +327,8 @@ def test_monoid_reduction_verdicts_agree_with_table_checker():
     policy = CheckPolicy()
     for triple in [(g.c, g.w, g.s), (g.c, g.w, identity(2))]:
         table_report = check_symmetric_monoid(*triple)
-        pointwise = monoid_diagrams_pointwise(V, *triple, bound=4, policy=policy)
+        carriers = stage_carriers(V.set, 5, Report())
+        pointwise = monoid_diagrams_pointwise(V, *triple, 4, policy, carriers)
         for check in pointwise:
             law = check.law.removeprefix("delta-")
             assert check.passed == table_report.check(law).passed
@@ -331,12 +338,12 @@ def test_delta_preserves_products_and_terminal():
     V = representable_V()
     P = ProductPresheaf(V, V)
     for m in range(3):
-        assert delta_apply(P).set(m) == ProductPresheaf(
-            delta_apply(V), delta_apply(V)
+        assert DeltaPresheaf(P).set(m) == ProductPresheaf(
+            DeltaPresheaf(V), DeltaPresheaf(V)
         ).set(m)
     one = TerminalPresheaf()
     for m in range(3):
-        assert delta_apply(one).set(m) == one.set(m)
+        assert DeltaPresheaf(one).set(m) == one.set(m)
 
 
 def test_ell_roundtrip_is_identity():
