@@ -66,18 +66,21 @@ class Report:
         return self
 
 
-def stage_carriers(carrier: Callable[[int], list], bound: int, report: Report) -> dict[int, list]:
-    """carrier(0), ..., carrier(bound), keyed by stage: what a checker covers.
+def stage_carriers(
+    carrier: Callable[[int], list], bound: int, report: Report, reach: int = 0
+) -> dict[int, list]:
+    """carrier(0), ..., carrier(bound + reach), keyed by stage: what a checker covers.
 
-    Enumeration stops at the first stage whose carrier is unavailable, noting
-    in report that the bound is lowered to the last stage enumerated.
+    A checker at bound reads stages up to bound + reach.  Enumeration stops at
+    the first stage whose carrier is unavailable, noting in report that the
+    bound is lowered to the largest one whose reads were all enumerated.
     """
     carriers = {}
-    for m in range(bound + 1):
+    for m in range(bound + reach + 1):
         try:
             carriers[m] = list(carrier(m))
         except CarrierUnavailable as exc:  # incomplete coverage, not failure
-            report.notes.append(f"incomplete: bound {bound} lowered to {m - 1}: {exc}")
+            report.notes.append(f"incomplete: bound {bound} lowered to {m - 1 - reach}: {exc}")
             break
     return carriers
 

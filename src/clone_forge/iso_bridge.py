@@ -17,7 +17,7 @@ from functools import partial
 from .checks import CheckPolicy, Group, Report, check_law, stage_carriers
 from .clone import Budget, Clone, clone_hom_check
 from .fin_cat import FinMap, enumerate_maps
-from .presheaf_f import Presheaf, StageRangeError
+from .presheaf_f import Presheaf, StageRangeError, TruncatedPresheaf
 from .subst_algebra import SubstAlgebra, hom_check
 
 
@@ -122,13 +122,13 @@ class AlgebraClone(Clone):
         self.name = f"C({algebra.name})"
 
     def elems(self, n, budget=None):
-        top = self.algebra.base.max_stage()
-        if top is not None and 2 * n > top:
+        base = self.algebra.base
+        if isinstance(base, TruncatedPresheaf) and 2 * n > base.bound:
             raise StageRangeError(
                 2 * n, f"carrier C_{n} substitutes through stage {2 * n}, "
-                f"beyond truncation bound {top}"
+                f"beyond truncation bound {base.bound}"
             )
-        return list(self.algebra.base.set(n))
+        return list(base.set(n))
 
     def iota(self, m, i):
         if not 0 <= i < m:

@@ -60,10 +60,6 @@ class Presheaf:
         """
         return partial(self.act, f)
 
-    def max_stage(self) -> int | None:
-        """Largest available stage, or None when every stage is computable."""
-        return None
-
 
 class RepresentableV(Presheaf):
     """Stage m = {0..m-1}; maps act by table lookup."""
@@ -119,9 +115,6 @@ class TruncatedPresheaf(Presheaf):
 
     def action(self, f):
         return self.table(f).__getitem__
-
-    def max_stage(self):
-        return self.bound
 
 
 def truncate_presheaf(P: Presheaf, bound: int, name: str | None = None) -> TruncatedPresheaf:
@@ -263,22 +256,6 @@ def ell(m: int, pair):
 
 def ell_inverse(m: int, pair):
     return pair
-
-
-def clamp_stage(P: Presheaf, bound: int, report: Report) -> int:
-    """bound lowered to the last stage P stores, noting any loss in report.
-
-    For stages that are read but not enumerated; the note is the one
-    ``stage_carriers`` writes on a stored presheaf.
-    """
-    top = P.max_stage()
-    if top is not None and top < bound:
-        report.notes.append(
-            f"incomplete: bound {bound} lowered to {top}: "
-            f"stage {top + 1} beyond truncation bound {top}"
-        )
-        return top
-    return bound
 
 
 def compose_sides(P: Presheaf, composite_lhs: bool):
@@ -445,13 +422,13 @@ def check_delta_laws(
     invertibility of the product comparison, and stage naturality of all four
     strength maps.  Stages m run 0..bound-2, or 0..bound-1 for naturality and
     the comparison, and the laws read P up to stage bound+1.  The first stage
-    P cannot enumerate lowers that, with a note, and each law keeps the
-    stages whose reads stay below it.
+    P cannot enumerate lowers the bound, with a note, to the largest one whose
+    reads all stay below it; each law still checks every stage whose reads do.
     """
     policy = policy or CheckPolicy()
     report = Report()
     g = generators()
-    C = stage_carriers(P.set, bound + 1, report)
+    C = stage_carriers(P.set, bound, report, reach=1)
 
     report.checks.extend(
         monoid_diagrams_pointwise(P, g.c, g.w, g.s, bound, policy, C)

@@ -20,7 +20,6 @@ from .presheaf_f import (
     Presheaf,
     Strengths,
     TruncatedPresheaf,
-    clamp_stage,
     compose_families,
     insert_map,
     merge_map,
@@ -345,13 +344,15 @@ def hom_check(
 ) -> Report:
     """Naturality of the family h plus preservation of variables and s.
 
-    The source's stages are enumerated and the target's read, so the bound
-    is lowered to the target's stored stages and then to the first stage the
-    source cannot enumerate, each with a note.
+    The source's stages are enumerated and the target's read.  A stored
+    target cannot be read past its tables, so its stages are enumerated too;
+    the first stage either one lacks lowers the bound, with a note.
     """
     policy = policy or CheckPolicy()
     report = Report()
-    A = stage_carriers(src.base.set, clamp_stage(dst.base, bound, report), report)
+    if isinstance(dst.base, TruncatedPresheaf):
+        bound = len(stage_carriers(dst.base.set, bound, report)) - 1
+    A = stage_carriers(src.base.set, bound, report)
     bound = len(A) - 1
 
     def naturality(m, n, f, x):
