@@ -44,7 +44,6 @@ class LawCheck:
 @dataclass
 class Report:
     checks: list[LawCheck] = field(default_factory=list)
-    mode: str | None = None
     notes: list[str] = field(default_factory=list)
 
     @property

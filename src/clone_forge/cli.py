@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from dataclasses import dataclass
@@ -47,7 +46,6 @@ from .subst_algebra import (
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_INPUT = 2
-FORMAT_ENV = "CLONE_FORGE_FORMAT"
 
 
 class InputError(ValueError):
@@ -318,12 +316,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    values = vars(args)
-    fmt = os.environ.get(FORMAT_ENV) or values.get("fmt", "text")
-    values["fmt"] = fmt
     started = time.perf_counter()
     try:
-        config = RunConfig(**values)
+        config = RunConfig(**vars(args))
         sections = _HANDLERS[config.command](config)
     except (InputError, SchemaError, ShapeError, ContextError, StageRangeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -11,7 +11,7 @@ down on clones with non-commutative operators.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 
 from .checks import CheckPolicy, Group, Report, check_law, stage_carriers
@@ -177,10 +177,19 @@ def c_on_hom(
     budget: Budget | None = None,
     policy: CheckPolicy | None = None,
 ) -> Report:
-    """Certify an algebra homomorphism family as a clone homomorphism."""
+    """Certify an algebra homomorphism family as a clone homomorphism.
+
+    The clone side substitutes in the target's clone up to the budget's
+    arity, and the first carrier of that clone it lacks lowers the arity,
+    with a note.
+    """
     budget = budget or Budget()
     report = hom_check(h, src, dst, bound, policy)
-    clone_side = clone_hom_check(h, c_functor(src), c_functor(dst), budget, policy)
+    target = c_functor(dst)
+    top = max(stage_carriers(lambda n: target.elems(n, budget), budget.max_arity, report))
+    clone_side = clone_hom_check(
+        h, c_functor(src), target, replace(budget, max_arity=top), policy
+    )
     return report.extend(clone_side)
 
 
@@ -237,7 +246,7 @@ def roundtrip_alg(
     A = stage_carriers(back.base.set, bound, report)
     bound = len(A) - 1
 
-    def action(f, x):
+    def act(f, x):
         return back.base.act(f, x), algebra.base.act(f, x)
 
     def substitution(m, x, y):
@@ -247,7 +256,7 @@ def roundtrip_alg(
         return back.v_at(m), algebra.v_at(m)
 
     report.checks.append(check_law("act-agreement", policy, "f x lhs rhs", (
-        (f"{m}->{n}", (), [enumerate_maps(m, n), A[m]], action)
+        (f"{m}->{n}", (), [enumerate_maps(m, n), A[m]], act)
         for m, n in itertools.product(range(bound + 1), repeat=2)
     )))
     report.checks.append(check_law("subst-agreement", policy, "m x y lhs rhs", (

@@ -52,14 +52,6 @@ class Presheaf:
     def act(self, f: FinMap, x):
         raise NotImplementedError
 
-    def action(self, f: FinMap):
-        """act(f, -) as a one-argument callable, for many elements under one map.
-
-        Errors that ``act`` raises for the map itself may be raised here, when
-        the callable is built; the callable then behaves as ``act(f, x)``.
-        """
-        return partial(self.act, f)
-
 
 class RepresentableV(Presheaf):
     """Stage m = {0..m-1}; maps act by table lookup."""
@@ -102,7 +94,7 @@ class TruncatedPresheaf(Presheaf):
         return list(range(self.carrier_sizes[m]))
 
     def act(self, f, x):
-        return self.action(f)(x)
+        return self.table(f)[x]
 
     def table(self, f: FinMap) -> tuple[int, ...]:
         """The stored action of f: entry i is the index of act(f, i)."""
@@ -112,9 +104,6 @@ class TruncatedPresheaf(Presheaf):
                 f"map {f} beyond truncation bound {self.bound}",
             )
         return self.actions[(f.dom, f.cod)][f.table]
-
-    def action(self, f):
-        return self.table(f).__getitem__
 
 
 def truncate_presheaf(P: Presheaf, bound: int, name: str | None = None) -> TruncatedPresheaf:
@@ -258,40 +247,13 @@ def ell_inverse(m: int, pair):
     return pair
 
 
-def compose_sides(P: Presheaf, composite_lhs: bool):
-    """The sides callback for act(first;second, x) = act(second, act(first, x)).
+def compose_sides(act, composite_lhs: bool, f: FinMap, g: FinMap, x):
+    """The two sides of act(f;g, x) = act(g, act(f, x)) at one element.
 
-    The callback takes (first map, second map, x).  Work that depends only on
-    the maps is hoisted out of the per-element path: the composite is looked
-    up once per pair of maps, at the pair's first instance, telling pairs
-    apart by identity (maps are hash-consed), and each map's action is built
-    once per callback.  An exhaustive stream holds a pair while x varies, so
-    most instances only evaluate the two sides.  The composite's value is the
-    lhs when composite_lhs, else the rhs.
+    The composite's value is the lhs when composite_lhs, else the rhs.
     """
-    last_f = last_g = act_first = act_second = act_composite = None
-    actions = {}
-
-    def action(f):
-        a = actions.get(f)
-        if a is None:
-            a = actions[f] = P.action(f)
-        return a
-
-    def sides(f, g, x):
-        nonlocal last_f, last_g, act_first, act_second, act_composite
-        if f is not last_f:
-            act_first = action(f)
-            last_f, last_g = f, None
-        if g is not last_g:
-            act_second = action(g)
-            act_composite = action(compose_cached(f, g))
-            last_g = g
-        composite = act_composite(x)
-        stepwise = act_second(act_first(x))
-        return (composite, stepwise) if composite_lhs else (stepwise, composite)
-
-    return sides
+    composite, stepwise = act(compose_cached(f, g), x), act(g, act(f, x))
+    return (composite, stepwise) if composite_lhs else (stepwise, composite)
 
 
 def stored_compose_sides(
@@ -348,7 +310,8 @@ def compose_families(P: Presheaf, carriers: dict[int, list], composite_lhs: bool
             axes = [firsts, seconds, Row(carriers[l])]
             sides = stored_compose_sides(P, l, m, n, seconds, composite_lhs)
         else:
-            axes, sides = [firsts, seconds, carriers[l]], compose_sides(P, composite_lhs)
+            axes = [firsts, seconds, carriers[l]]
+            sides = partial(compose_sides, P.act, composite_lhs)
         yield f"{l}->{m}->{n}", (), axes, sides
 
 

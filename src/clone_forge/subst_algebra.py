@@ -174,7 +174,7 @@ def check_presentation(
     The first stage the base cannot enumerate lowers the bound, with a note.
     """
     policy = policy or CheckPolicy()
-    report = Report(mode="equations")
+    report = Report()
     A = stage_carriers(alg.base.set, bound, report)
     bound = len(A) - 1
     act = alg.base.act
@@ -248,7 +248,7 @@ def check_diagrams(
     distributive-law maps rather than by inlining the right-hand formulas.
     """
     policy = policy or CheckPolicy()
-    report = Report(mode="diagrams")
+    report = Report()
     A = stage_carriers(alg.base.set, bound, report)
     bound = len(A) - 1
     s_at = alg.s_at

@@ -8,7 +8,7 @@ import pytest
 
 from clone_forge import cli
 from clone_forge.checks import CheckPolicy, describe
-from clone_forge.cli import EXIT_FAIL, EXIT_INPUT, EXIT_PASS, FORMAT_ENV, main
+from clone_forge.cli import EXIT_FAIL, EXIT_INPUT, EXIT_PASS, main
 from clone_forge.clone import Budget, Clone, builtin_clone
 from clone_forge.io_formats import dump_subst_algebra
 from clone_forge.iso_bridge import s_functor
@@ -305,13 +305,6 @@ def test_enum_hom_rejects_a_negative_arity(capsys, flag):
     assert code == EXIT_INPUT
     assert captured.out == ""
     assert captured.err == "error: src and dst must be non-negative\n"
-
-
-def test_env_var_overrides_format(capsys, monkeypatch):
-    monkeypatch.setenv(FORMAT_ENV, "json")
-    code, out = run(capsys, "check-f", "--format", "text")
-    assert code == EXIT_PASS
-    json.loads(out)
 
 
 def test_json_reports_are_deterministic(capsys):

@@ -231,6 +231,18 @@ def test_the_clone_of_stored_tables_lowers_its_arity_with_a_note(check):
     ]
 
 
+def test_c_on_hom_into_fewer_stored_stages_lowers_the_arity_with_a_note():
+    # the target stores stages up to 3 only, so its clone has C_0 and C_1:
+    # substitution is checked at arity 1 there, not read beyond its tables
+    shorter = truncate_algebra(s_functor(builtin_clone("initial")), 3)
+    report = c_on_hom(lambda m, x: x, STORED_INITIAL, shorter, 3)
+    assert report.passed
+    assert report.notes == [
+        "incomplete: bound 3 lowered to 1: carrier C_2 substitutes through "
+        "stage 4, beyond truncation bound 3"
+    ]
+
+
 def test_wrong_consumption_order_breaks_roundtrip():
     # consuming substituends first-to-last disagrees with plain substitution
     # on a non-commutative operator, which the round trip is built to detect
