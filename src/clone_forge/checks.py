@@ -32,7 +32,7 @@ class CheckPolicy:
     seed: int = 0
 
 
-@dataclass
+@dataclass(frozen=True)
 class LawCheck:
     law: str
     passed: bool

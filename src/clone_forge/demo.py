@@ -16,6 +16,7 @@ killed by any signal takes its workers with it.
 
 from __future__ import annotations
 
+import gc
 import os
 import signal
 import sys
@@ -181,6 +182,10 @@ def _end_with_parent(parent: int) -> None:
     whatever signal.  A parent that ended before this ran is no longer the
     worker's parent, so the worker exits at once.
     """
+    # a job's interned terms and memo tables live until the worker ends by
+    # os._exit and hold no cycles to free (free-term substitution builds
+    # none), so full collections would only walk that heap again and again
+    gc.disable()
     if sys.platform.startswith("linux"):
         import ctypes
 

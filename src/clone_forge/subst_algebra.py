@@ -20,7 +20,7 @@ from .presheaf_f import (
     Presheaf,
     Strengths,
     TruncatedPresheaf,
-    compose_families,
+    check_composition,
     insert_map,
     merge_map,
     swap_map,
@@ -202,9 +202,7 @@ def check_presentation(
         return lhs, s_at(m, s_at(m + 1, act(swap, x), act(pad, z)), s_at(m, y, z))
 
     stages = range(bound + 1)
-    report.checks.append(check_law(
-        "act-compose", policy, "g f x lhs rhs", compose_families(alg.base, A, False)
-    ))
+    report.checks.append(check_composition(alg.base, "act-compose", A, policy))
     report.checks.append(check_law("act-identity", policy, "m x lhs", (
         (f"m={m}", (m,), [A[m]], partial(ident, identity(m))) for m in stages
     )))

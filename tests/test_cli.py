@@ -9,7 +9,8 @@ import pytest
 from clone_forge import cli
 from clone_forge.checks import CheckPolicy, describe
 from clone_forge.cli import EXIT_FAIL, EXIT_INPUT, EXIT_PASS, main
-from clone_forge.clone import Budget, Clone, builtin_clone
+from clone_forge.clone import Budget, Clone, FiniteClone, builtin_clone
+from clone_forge.corpus import designed_mutants, meet_semilattice
 from clone_forge.io_formats import dump_subst_algebra
 from clone_forge.iso_bridge import s_functor
 from clone_forge.subst_algebra import check_presentation, truncate_algebra
@@ -190,6 +191,34 @@ def test_check_subst_broken_fixture_exits_one(tmp_path, capsys):
     assert code == EXIT_FAIL
     assert "FAIL presentation:weakening" in out
     assert "counterexample" in out
+
+
+@pytest.mark.parametrize("name, instances", [("initial", 488_848), ("meet", 1_689_320)])
+def test_check_subst_reports_the_load_sweep_as_act_compose(tmp_path, capsys, name, instances):
+    # the file's composition law is swept at load; at --bound equal to the
+    # file's bound that sweep is the report's act-compose
+    if name == "initial":
+        clone, budget = builtin_clone("initial"), Budget()
+    else:
+        clone, budget = FiniteClone(meet_semilattice(), 4), Budget(max_arity=4)
+    path = tmp_path / f"{name}.json"
+    path.write_text(dump_subst_algebra(truncate_algebra(s_functor(clone, budget), 4)))
+    code, out = run(capsys, "check-subst", "--input", str(path), "--bound", "4", "--format", "json")
+    assert code == EXIT_PASS
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    check = checks["presentation:act-compose"]
+    assert (check["passed"], check["mode"], check["instances"]) == (True, "exhaustive", instances)
+
+
+def test_check_subst_on_a_non_functorial_file_exits_two(tmp_path, capsys):
+    breaker = dict(designed_mutants())["act-compose"].algebra
+    path = tmp_path / "breaker.json"
+    path.write_text(dump_subst_algebra(breaker))
+    code = main(["check-subst", "--input", str(path), "--bound", "4"])
+    captured = capsys.readouterr()
+    assert code == EXIT_INPUT
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {path}: compose-action fails: ")
 
 
 def test_schema_error_exits_two(tmp_path, capsys):

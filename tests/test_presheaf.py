@@ -5,6 +5,7 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
+from clone_forge import presheaf_f
 from clone_forge.checks import (
     CheckPolicy,
     LawCheck,
@@ -26,6 +27,7 @@ from clone_forge.fin_cat import (
 )
 from clone_forge.iso_bridge import s_functor
 from clone_forge.presheaf_f import (
+    COMPOSITION_LAWS,
     BulletPresheaf,
     DeltaPresheaf,
     DeltaStructure,
@@ -35,6 +37,7 @@ from clone_forge.presheaf_f import (
     Strengths,
     TerminalPresheaf,
     TruncatedPresheaf,
+    check_composition,
     check_delta_laws,
     check_functoriality,
     compose_families,
@@ -98,9 +101,6 @@ class ElementView(Presheaf):
         return self.P.act(f, x)
 
 
-COMPOSE_LAWS = {"compose-action": ("f g x lhs rhs", True), "act-compose": ("g f x lhs rhs", False)}
-
-
 def compose_law(P, law, bound, policy, combos=None):
     """The LawCheck of law from compose_families on P's stored tables.
 
@@ -109,7 +109,7 @@ def compose_law(P, law, bound, policy, combos=None):
     and to reference_compose_law.  combos, when given, keeps only the
     families with those labels.
     """
-    names, composite_lhs = COMPOSE_LAWS[law]
+    names, composite_lhs = COMPOSITION_LAWS[law]
     carriers = {m: P.set(m) for m in range(bound + 1)}
 
     def run(Q, wrap=lambda sides: sides):
@@ -187,7 +187,7 @@ def test_sampled_composition_failure_matches_reference():
     assert_same_check(check, compose_law(bad, "compose-action", 4, CheckPolicy()))
 
 
-@pytest.mark.parametrize("law", sorted(COMPOSE_LAWS))
+@pytest.mark.parametrize("law", sorted(COMPOSITION_LAWS))
 def test_terminal_tables_compose_a_block_at_a_time(law):
     # stage 0 of S(terminal) has one element, so the combos 0->m->n have a
     # first map with an empty table and rows of length one
@@ -201,7 +201,7 @@ def test_terminal_tables_compose_a_block_at_a_time(law):
     assert (stage_zero.passed, stage_zero.mode, stage_zero.instances) == (True, "exhaustive", 10)
 
 
-@pytest.mark.parametrize("law", sorted(COMPOSE_LAWS))
+@pytest.mark.parametrize("law", sorted(COMPOSITION_LAWS))
 @pytest.mark.parametrize("second, position", [((0, 0), 0), ((2, 2), 8)])
 def test_block_mismatch_at_a_second_map_and_the_last_x(law, second, position):
     # second's row in S(initial) is its table; moving entry 1 breaks the
@@ -236,6 +236,75 @@ def test_composition_law_counts_pinned(name, sampled, exhaustive):
     loader_policy = CheckPolicy(exhaustive_threshold=10_000_000)
     check = check_functoriality(alg.base, 4, loader_policy).check("compose-action")
     assert (check.passed, check.mode, check.instances) == (True, "exhaustive", exhaustive)
+
+
+def count_stored_sides(monkeypatch) -> list:
+    """The (l, m, n) of every stored_compose_sides call from now on."""
+    calls = []
+    stored = presheaf_f.stored_compose_sides
+
+    def counted(P, l, m, n, seconds, composite_lhs):
+        calls.append((l, m, n))
+        return stored(P, l, m, n, seconds, composite_lhs)
+
+    monkeypatch.setattr(presheaf_f, "stored_compose_sides", counted)
+    return calls
+
+
+def fresh_check(P, law, bound, policy):
+    """law's LawCheck on a copy of P's tables that has checked nothing."""
+    copy = TruncatedPresheaf(P.bound, P.carrier_sizes, P.actions, P.name)
+    return check_composition(copy, law, stage_carriers(copy.set, bound, Report()), policy)
+
+
+def test_mutants_of_one_stored_base_check_act_compose_once(monkeypatch):
+    base = truncate_algebra(s_functor(builtin_clone("initial")), 4)
+    first, second = base.with_s_entry(2, 0, 0, 1), base.with_s_entry(3, 1, 2, 2)
+    assert first.base is second.base
+    calls = count_stored_sides(monkeypatch)
+    policy = CheckPolicy(seed=0)
+    check = check_presentation(first, 4, policy).check("act-compose")
+    assert len(calls) == 5**3
+    calls.clear()
+    again = check_presentation(second, 4, policy).check("act-compose")
+    assert calls == []
+    assert again == check
+    assert (check.passed, check.mode, check.instances) == (True, "sampled", 228_704)
+    assert check == fresh_check(first.base, "act-compose", 4, policy)
+
+
+def test_an_act_entry_mutant_is_not_served_its_parents_verdict():
+    mutants = dict(designed_mutants())
+    breaker, parent = mutants["act-compose"].algebra, mutants["unit"].algebra
+    assert breaker.base is not parent.base
+    # the parent's tables pass a sweep of every instance, which would answer
+    # any composition check on them at five stages
+    loader_policy = CheckPolicy(exhaustive_threshold=10_000_000)
+    assert check_functoriality(parent.base, 4, loader_policy).passed
+    policy = CheckPolicy(seed=0)
+    served = check_presentation(parent, 4, policy).check("act-compose")
+    assert (served.passed, served.mode, served.instances) == (True, "exhaustive", 488_848)
+    # nor does a failing sweep answer the other law
+    assert not check_functoriality(breaker.base, 4, loader_policy).passed
+    check = check_presentation(breaker, 4, policy).check("act-compose")
+    assert (check.passed, check.instances) == (False, 179)
+    assert_same_check(check, reference_compose_law(breaker.base, "act-compose", 4, policy))
+
+
+def test_another_seed_bound_or_law_is_checked_again(monkeypatch):
+    alg = truncate_algebra(s_functor(builtin_clone("initial")), 4)
+    check_presentation(alg, 4, CheckPolicy(seed=0))
+    calls = count_stored_sides(monkeypatch)
+    for bound, seed in ((4, 1), (3, 0)):
+        calls.clear()
+        policy = CheckPolicy(seed=seed)
+        check = check_presentation(alg, bound, policy).check("act-compose")
+        assert len(calls) == (bound + 1) ** 3
+        assert check == fresh_check(alg.base, "act-compose", bound, policy)
+    calls.clear()
+    check = check_functoriality(alg.base, 4, CheckPolicy(seed=0)).check("compose-action")
+    assert len(calls) == 5**3
+    assert check == fresh_check(alg.base, "compose-action", 4, CheckPolicy(seed=0))
 
 
 def test_table_action_matches_act():
