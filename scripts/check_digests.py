@@ -1,12 +1,15 @@
 #!/usr/bin/env python3
-"""Check that the demo's and the mutants workload's stdout match pinned digests.
+"""Check that the demo's, the mutants' and the tables workload's outputs match pinned digests.
 
 Runs `clone-forge demo` from this checkout's `src/`: in json and in text at
 default flags, then in json at `--seed 0` .. `--seed 9` against
 `perfbench/seed_digests.json`.  Then runs `perfbench/mutants.py --seed 0`
-and `--seed 3`, which only read the checkout.  Prints one line per run and
-exits 1 if any digest differs.  Each run is a fresh interpreter; all of
-them take about a minute on two cores.
+and `--seed 3`, which only read the checkout.  Then runs the six commands
+of the tables workload at `--seed 0` in a temporary directory, where it
+writes `meet-algebra.json` as `perfbench/workloads.py` does, and checks
+both the stdout of each and the two files `to-subst` writes.  Prints one
+line per run or file and exits 1 if any digest differs.  Each run is a
+fresh interpreter; all of them take about a minute on two cores.
 
     python3 scripts/check_digests.py
 """
@@ -16,6 +19,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -32,6 +36,42 @@ MUTANTS = {
     "3": "7b0dde78873e930166c1e4d7ea88f4395af55df9e39940f41250d7a06c7fc70b",
 }
 
+# The input `to-subst` reads for S(meet), as `perfbench/workloads.py` writes it.
+MEET_ALGEBRA = {"carrier": 2, "operations": {"meet": {"arity": 2, "table": [0, 0, 0, 1]}}}
+
+TABLE_SOURCES = {
+    "initial": ("--builtin", "initial"),
+    "meet": ("--algebra", "meet-algebra.json", "--max-arity", "4"),
+}
+
+# sha256 of `clone-forge COMMAND` stdout on each table source at --seed 0, run
+# in this order in one directory
+TABLES = {
+    ("to-subst", "initial"): "ccb8ffc90c0bf73f4d5447687aab43ca48e21c145b5870e9c87e43687f8496ea",
+    ("to-subst", "meet"): "fa4ea8ba553abf14f262a9adc783eff65a8a770934cdfbc418f2a9af63fa63bf",
+    ("check-subst", "initial"): "2a4dd5b566710d638f99f6fb4dd4169ff905676943517a7cc5503cb5208ef46d",
+    ("check-subst", "meet"): "e09df658c31ba770e13ca9324998c28f6511bde95a28b35c3dd167dfe461becc",
+    ("to-clone", "initial"): "a8caac5c319786dd8ae50dbd04e632b05da6460a741ccfcb25f362deae2f97fd",
+    ("to-clone", "meet"): "2eb6638deeea84c504b88c6700f9ca618b1c1f579ced851230ada10fd5fa06a4",
+}
+
+# sha256 of the files `to-subst` writes
+TABLE_FILES = {
+    "initial.json": "414c7f1f5425da7e8966bd90a1a8c233ab5257178cf7a4cc4c0ea923e170aac6",
+    "meet.json": "fe8b661ae27d587f50892f0f607a3c10fa4f11b7c12106a1a2436b9ad634af10",
+}
+
+
+def table_args(command: str, name: str) -> list[str]:
+    """Interpreter arguments of one tables command, as the workload runs it."""
+    if command == "to-subst":
+        args = [*TABLE_SOURCES[name], "--bound", "4", "--output", f"{name}.json"]
+    elif command == "check-subst":
+        args = ["--input", f"{name}.json", "--bound", "4"]
+    else:
+        args = ["--input", f"{name}.json"]
+    return ["-m", "clone_forge.cli", command, *args, "--format", "json", "--seed", "0"]
+
 
 def runs() -> list[tuple[str, list[str], str]]:
     """(label, interpreter arguments, pinned digest) of every run."""
@@ -45,21 +85,36 @@ def runs() -> list[tuple[str, list[str], str]]:
         (f"mutants --seed {seed}", [str(ROOT / "perfbench" / "mutants.py"), "--seed", seed], digest)
         for seed, digest in MUTANTS.items()
     ]
-    return demo + mutants
+    tables = [
+        (f"{command} {name}", table_args(command, name), digest)
+        for (command, name), digest in TABLES.items()
+    ]
+    return demo + mutants + tables
 
 
 def main() -> int:
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     mismatches = 0
-    for label, args, want in runs():
-        out = subprocess.run(
-            [sys.executable, *args],
-            env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, check=False,
-        ).stdout
-        got = hashlib.sha256(out).hexdigest()
+
+    def compare(label: str, data: bytes, want: str) -> None:
+        nonlocal mismatches
+        got = hashlib.sha256(data).hexdigest()
         mismatches += got != want
         verdict = "ok" if got == want else f"MISMATCH (want {want[:12]})"
         print(f"{label}: {got[:12]} {verdict}", flush=True)
+
+    with tempfile.TemporaryDirectory() as tmp:
+        workdir = Path(tmp)
+        (workdir / "meet-algebra.json").write_text(json.dumps(MEET_ALGEBRA) + "\n")
+        for label, args, want in runs():
+            out = subprocess.run(
+                [sys.executable, *args], cwd=workdir,
+                env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, check=False,
+            ).stdout
+            compare(label, out, want)
+        for name, want in TABLE_FILES.items():
+            path = workdir / name
+            compare(f"file {name}", path.read_bytes() if path.exists() else b"", want)
     return 1 if mismatches else 0
 
 

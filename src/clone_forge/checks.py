@@ -125,12 +125,12 @@ class Group:
 
 @dataclass(frozen=True)
 class Row:
-    """A family's last axis, whose instances ``sides`` returns a row at a time.
+    """A family's last axis, which an exhaustive sweep asks for a block at a time.
 
-    Given the values of every other axis, ``sides`` returns two sequences of
-    one type aligned with ``axis``: the lhs and the rhs at every position.
-    Given all but the last of those values, it returns a block: two lists
-    aligned with the axis before the Row, of such rows.  Instances, streams
+    Given a value for every axis, ``sides`` answers one instance, as on any
+    family.  Given the values of every axis but the last two, it returns a
+    block: two lists aligned with the axis before the Row, of rows aligned
+    with ``axis``, the lhs and the rhs at every position.  Instances, streams
     and witnesses are those of ``axis`` as a plain last axis; only the number
     of ``sides`` calls changes.
     """
@@ -162,8 +162,7 @@ class LawRunner:
     With a Row last, a sweep asks ``sides`` for one block per value of the
     axes before the last two, compares the two blocks with one ``!=`` and,
     on a mismatch, counts and names instances up to the first unequal row
-    and position in it; a sample asks for the drawn pair of rows and indexes
-    both at the drawn position.
+    and position in it; a sample draws instances as on any family.
     """
 
     def __init__(self, law: str, policy: CheckPolicy, names: str):
@@ -181,18 +180,10 @@ class LawRunner:
         row = axes[-1].axis if axes and isinstance(axes[-1], Row) else None
         groups = [_group(a) for a in axes]
         flat = [axis for group in groups for axis in group.axes]
-        if row is not None:  # draws pick a position in the row
-            flat[-1] = range(len(row))
         mode, stream = instance_stream(flat, self.policy, f"{self.law}|{combo}")
         self._mode = _merge_mode(self._mode, mode)
         count, failure = 0, None
-        if row is None:
-            for count, values in enumerate(stream, 1):
-                lhs, rhs = sides(*values)
-                if lhs != rhs:
-                    failure = values, lhs, rhs
-                    break
-        elif mode == "exhaustive":
+        if row is not None and mode == "exhaustive":
             inner = flat[-2]
             for outer in itertools.product(*flat[:-2]):
                 lhs, rhs = sides(*outer)
@@ -204,10 +195,10 @@ class LawRunner:
                     break
                 count += len(inner) * len(row)
         else:
-            for count, (*prefix, i) in enumerate(stream, 1):
-                lhs, rhs = sides(*prefix)
-                if lhs[i] != rhs[i]:
-                    failure = (*prefix, row[i]), lhs[i], rhs[i]
+            for count, values in enumerate(stream, 1):
+                lhs, rhs = sides(*values)
+                if lhs != rhs:
+                    failure = values, lhs, rhs
                     break
         self._instances += count
         if failure is not None:

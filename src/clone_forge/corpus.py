@@ -93,7 +93,11 @@ def designed_mutants() -> list[tuple[str, Mutant]]:
     the targeted family.  The battery asserts the target is among the
     failures, and keeps the failure patterns distinct across targets.
     """
-    base = _initial_table_algebra(4)
+    return _designed_mutants(_initial_table_algebra(4))
+
+
+def _designed_mutants(base: TableSubstAlgebra) -> list[tuple[str, Mutant]]:
+    """designed_mutants, each one entry away from base."""
     out = []
 
     cx = base.with_act_entry(FinMap(3, 4, (0, 0, 0)), 0, 1)
@@ -125,8 +129,8 @@ def designed_mutants() -> list[tuple[str, Mutant]]:
 
 def mutant_battery() -> list[Mutant]:
     """Twenty-plus single-entry mutants for the agreement and sensitivity suites."""
-    mutants = [m for _, m in designed_mutants()]
     base = _initial_table_algebra(4)
+    mutants = [m for _, m in _designed_mutants(base)]
 
     for m in (2, 3):
         rows = base.base.carrier_sizes[m + 1]

@@ -127,6 +127,7 @@ def _parse_truncated_presheaf(data, label: str) -> TruncatedPresheaf:
             key = f"{m}->{n}"
             block = raw_actions.get(key)
             _expect(block is not None, f"{label}: missing action block {key!r}")
+            _expect(isinstance(block, dict), f"{label}: action block {key!r} must be an object")
             tables = {}
             for f in enumerate_maps(m, n):
                 raw = block.get(_table_key(f))

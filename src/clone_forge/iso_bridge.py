@@ -38,9 +38,9 @@ class CloneActionPresheaf(Presheaf):
         return list(self.clone.elems(m, self.budget))
 
     def act(self, f, t):
-        key = (f.dom, f.cod, f.table, t)
+        key = (f, t)
         hit = self._cache.get(key)
-        if hit is None and key not in self._cache:
+        if hit is None:
             images = tuple(self.clone.iota(f.cod, f.table[i]) for i in range(f.dom))
             hit = self.clone.mu(f.dom, f.cod, t, images)
             self._cache[key] = hit
@@ -62,7 +62,7 @@ class CloneAlgebra(SubstAlgebra):
     def s_at(self, m, x, y):
         key = (m, x, y)
         hit = self._s_cache.get(key)
-        if hit is None and key not in self._s_cache:
+        if hit is None:
             images = tuple(self.clone.iota(m, i) for i in range(m)) + (y,)
             hit = self.clone.mu(m + 1, m, x, images)
             self._s_cache[key] = hit

@@ -275,14 +275,14 @@ def compose_sides(act, composite_lhs: bool, f: FinMap, g: FinMap, x):
 def stored_compose_sides(
     P: TruncatedPresheaf, l: int, m: int, n: int, seconds: list[FinMap], composite_lhs: bool
 ):
-    """compose_sides for maps l -> m -> n of stored tables, a row at a time.
+    """compose_sides for maps l -> m -> n of stored tables, with blocks for a sweep.
 
-    sides(first, second) returns the values at every x of stage l, as two
-    index rows: the composite's stored row and the second row read through
-    the first.  sides(first) returns the block of those rows for every map
-    in seconds, in order, built by zipping columns: column i holds entry i
-    of every second map, or of every second map's row.  The columns are
-    gathered at the first block.
+    sides(first, second, x) is compose_sides on P.act.  sides(first) returns
+    the values at every x of stage l for every map in seconds, in order, as
+    two lists of index rows: the composite's stored rows and the second rows
+    read through the first.  It builds them by zipping columns: column i
+    holds entry i of every second map, or of every second map's row.  The
+    columns are gathered at the first block.
     """
     firsts, second_rows, composites = P.actions[(l, m)], P.actions[(m, n)], P.actions[(l, n)]
     map_columns = row_columns = None
@@ -293,19 +293,16 @@ def stored_compose_sides(
             return itertools.repeat((), len(seconds))
         return zip(*map(columns.__getitem__, picks))
 
-    def sides(f, g=None):
+    def sides(f, *instance):
         nonlocal map_columns, row_columns
-        table_f = firsts[f.table]
-        if g is not None:
-            composite = composites[tuple(map(g.table.__getitem__, f.table))]
-            stepwise = tuple(map(second_rows[g.table].__getitem__, table_f))
-        else:
-            if map_columns is None:
-                tables = [g.table for g in seconds]
-                map_columns = list(zip(*tables))
-                row_columns = list(zip(*map(second_rows.__getitem__, tables)))
-            composite = list(map(composites.__getitem__, gather(map_columns, f.table)))
-            stepwise = list(gather(row_columns, table_f))
+        if instance:
+            return compose_sides(P.act, composite_lhs, f, *instance)
+        if map_columns is None:
+            tables = [g.table for g in seconds]
+            map_columns = list(zip(*tables))
+            row_columns = list(zip(*map(second_rows.__getitem__, tables)))
+        composite = list(map(composites.__getitem__, gather(map_columns, f.table)))
+        stepwise = list(gather(row_columns, firsts[f.table]))
         return (composite, stepwise) if composite_lhs else (stepwise, composite)
 
     return sides
@@ -315,10 +312,10 @@ def compose_families(P: Presheaf, carriers: dict[int, list], composite_lhs: bool
     """The families of act(first;second, x) = act(second, act(first, x)).
 
     One family per combo l->m->n of stages in carriers, with axes (first,
-    second, x).  A presheaf that stores its tables is checked a row of x at
-    a time, and swept a block of second maps at a time
-    (stored_compose_sides); any other one element by element, since a row
-    would cost an act call per element on every sampled draw.
+    second, x), checked element by element.  On a presheaf that stores its
+    tables, a sweep asks for a block of rows per first map instead
+    (stored_compose_sides); any other presheaf would pay an act call per
+    element of each block.
     """
     for l, m, n in itertools.product(carriers, repeat=3):
         firsts, seconds = enumerate_maps(l, m), enumerate_maps(m, n)

@@ -8,22 +8,20 @@ NAMES = "m a x lhs rhs"
 def row_sides(sides, axes, xs, calls):
     """sides of a Row family over xs, from the per-element sides.
 
-    Given a value for every axis in axes it returns a pair of rows; given
-    one value fewer, the block of pairs of rows over the last flat axis.
-    Each call from the runner appends its number of values to calls.
+    Given a value for every axis in axes and one of xs it is sides itself;
+    given one value fewer than axes have, the block over the last flat axis
+    of pairs of rows over xs.  Each call from the runner appends its number
+    of values to calls.
     """
     flat = [a for axis in axes for a in (axis.axes if isinstance(axis, Group) else [axis])]
 
-    def rows(*values):
-        if len(values) < len(flat):
-            pairs = [rows(*values, v) for v in flat[-1]]
-            return [p[0] for p in pairs], [p[1] for p in pairs]
-        pairs = [sides(*values, x) for x in xs]
-        return tuple(p[0] for p in pairs), tuple(p[1] for p in pairs)
+    def block(*values):
+        rows = [[sides(*values, v, x) for x in xs] for v in flat[-1]]
+        return [tuple(p[0] for p in r) for r in rows], [tuple(p[1] for p in r) for r in rows]
 
     def counted(*values):
         calls.append(len(values))
-        return rows(*values)
+        return sides(*values) if len(values) > len(flat) else block(*values)
 
     return counted
 
@@ -152,8 +150,8 @@ def test_failure_only_a_sampled_block_combo_reaches():
     assert (check.passed, check.mode) == (False, "sampled")
     assert (check.counterexample["combo"], check.counterexample["x"]) == ("m=2", 5)
     assert 36 < check.instances < 36 + 200
-    # the sweep takes two blocks; each draw asks for one pair of rows
-    assert calls == [1, 1] + [2] * (check.instances - 36)
+    # the sweep takes two blocks; each draw is one full instance
+    assert calls == [1, 1] + [3] * (check.instances - 36)
 
 
 def test_sampled_pass_draws_the_same_instances():

@@ -266,6 +266,17 @@ def test_non_integer_input_exits_two(tmp_path, capsys, command, flag, payload, w
     assert main([command, flag, str(path)]) == EXIT_INPUT
 
 
+def test_an_action_block_that_is_not_an_object_exits_two(tmp_path, capsys):
+    data = _subst_payload()
+    data["actions"]["1->1"] = [0]
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    code = main(["check-subst", "--input", str(path)])
+    captured = capsys.readouterr()
+    assert code == EXIT_INPUT
+    assert captured.err == f"error: {path}: action block '1->1' must be an object\n"
+
+
 def test_missing_file_exits_two(capsys):
     assert main(["check-subst", "--input", "/nonexistent/alg.json"]) == EXIT_INPUT
 

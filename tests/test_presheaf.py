@@ -187,6 +187,27 @@ def test_sampled_composition_failure_matches_reference():
     assert_same_check(check, compose_law(bad, "compose-action", 4, CheckPolicy()))
 
 
+def test_a_sampled_stored_family_asks_for_one_element_per_draw():
+    P = truncate_presheaf(s_functor(builtin_clone("initial")).base, 4)
+    names, composite_lhs = COMPOSITION_LAWS["act-compose"]
+    calls = []
+
+    def counted(sides):
+        def call(*values):
+            calls.append(len(values))
+            return sides(*values)
+
+        return call
+
+    families = [
+        (combo, fixed, axes, counted(sides))
+        for combo, fixed, axes, sides in compose_families(P, {4: P.set(4)}, composite_lhs)
+    ]
+    check = check_law("act-compose", CheckPolicy(), names, families)
+    assert (check.passed, check.mode, check.instances) == (True, "sampled", 2000)
+    assert calls == [3] * 2000
+
+
 @pytest.mark.parametrize("law", sorted(COMPOSITION_LAWS))
 def test_terminal_tables_compose_a_block_at_a_time(law):
     # stage 0 of S(terminal) has one element, so the combos 0->m->n have a
