@@ -286,7 +286,8 @@ class FiniteClone(Clone):
 
     Carriers are generated from projections by closing under the algebra's
     operations; they can grow doubly exponentially, so construction is gated
-    by max_arity.
+    by max_arity.  Substitution checks table lengths on a miss of its result
+    memo, and builds the column index of each (n, us) once.
     """
 
     def __init__(self, algebra: FiniteAlgebra, max_arity: int):
@@ -295,6 +296,9 @@ class FiniteClone(Clone):
         self.name = f"finite(k={algebra.carrier_size})"
         self._carriers: dict[int, list[tuple[int, ...]]] = {}
         self._mu_memo: dict[tuple, tuple[int, ...]] = {}
+        # row indices of the columns of us at arity n, keyed by (n, us)
+        self._columns_memo: dict[tuple, list[int]] = {}
+        self._iota_memo: dict[tuple[int, int], tuple[int, ...]] = {}
 
     def elems(self, n: int, budget: Budget | None = None) -> list[tuple[int, ...]]:
         if n > self.max_arity:
@@ -337,15 +341,31 @@ class FiniteClone(Clone):
         r = self._mu_memo.get(key)
         if r is None:
             k = self.algebra.carrier_size
-            r = self._mu_memo[key] = tuple(map(t.__getitem__, _columns(us, k, k**n)))
+            if len(t) != k**m:
+                raise ContextError(
+                    f"value table at arity {m} needs {k**m} entries, got {len(t)}"
+                )
+            idx = self._columns_memo.get((n, us))
+            if idx is None:
+                width = k**n
+                for u in us:
+                    if len(u) != width:
+                        raise ContextError(
+                            f"substituend at arity {n} needs {width} entries, got {len(u)}"
+                        )
+                idx = self._columns_memo[n, us] = _columns(us, k, width)
+            r = self._mu_memo[key] = tuple(map(t.__getitem__, idx))
         return r
 
     def iota(self, m, i):
         if not 0 <= i < m:
             raise ContextError(f"projection index {i} outside arity {m}")
-        k = self.algebra.carrier_size
-        stride = k ** (m - 1 - i)
-        return tuple((j // stride) % k for j in range(k**m))
+        r = self._iota_memo.get((m, i))
+        if r is None:
+            k = self.algebra.carrier_size
+            stride = k ** (m - 1 - i)
+            r = self._iota_memo[m, i] = tuple((j // stride) % k for j in range(k**m))
+        return r
 
 
 STAR = "*"

@@ -24,8 +24,10 @@ from .subst_algebra import SubstAlgebra, hom_check
 class CloneActionPresheaf(Presheaf):
     """Clone carriers with the variable-renaming action.
 
-    Actions are memoized per (map, element): the check loops revisit the same
-    renamings constantly and carrier elements are hashable values.
+    act(f, t) substitutes into t the projections that f picks.  Those images
+    depend on the map alone, so they are kept per map; results are kept per
+    (map, element), since the check loops revisit the same renamings
+    constantly and carrier elements are hashable values.
     """
 
     def __init__(self, clone: Clone, budget: Budget | None = None):
@@ -33,6 +35,7 @@ class CloneActionPresheaf(Presheaf):
         self.budget = budget
         self.name = f"carriers({clone.name})"
         self._cache: dict = {}
+        self._images: dict[FinMap, tuple] = {}
 
     def set(self, m):
         return list(self.clone.elems(m, self.budget))
@@ -41,9 +44,10 @@ class CloneActionPresheaf(Presheaf):
         key = (f, t)
         hit = self._cache.get(key)
         if hit is None:
-            images = tuple(self.clone.iota(f.cod, f.table[i]) for i in range(f.dom))
-            hit = self.clone.mu(f.dom, f.cod, t, images)
-            self._cache[key] = hit
+            images = self._images.get(f)
+            if images is None:
+                images = self._images[f] = tuple(self.clone.iota(f.cod, j) for j in f.table)
+            hit = self._cache[key] = self.clone.mu(f.dom, f.cod, t, images)
         return hit
 
 
@@ -55,6 +59,8 @@ class CloneAlgebra(SubstAlgebra):
         self.base = CloneActionPresheaf(clone, budget)
         self.name = f"S({clone.name})"
         self._s_cache: dict = {}
+        # the variables iota(m, 0..m-1) of each stage m
+        self._variables: dict[int, tuple] = {}
 
     def v_at(self, m):
         return self.clone.iota(m + 1, m)
@@ -63,9 +69,10 @@ class CloneAlgebra(SubstAlgebra):
         key = (m, x, y)
         hit = self._s_cache.get(key)
         if hit is None:
-            images = tuple(self.clone.iota(m, i) for i in range(m)) + (y,)
-            hit = self.clone.mu(m + 1, m, x, images)
-            self._s_cache[key] = hit
+            variables = self._variables.get(m)
+            if variables is None:
+                variables = self._variables[m] = tuple(self.clone.iota(m, i) for i in range(m))
+            hit = self._s_cache[key] = self.clone.mu(m + 1, m, x, variables + (y,))
         return hit
 
 

@@ -428,7 +428,34 @@ def test_memoized_mu_still_checks_contexts():
     t, us = meet.iota(2, 0), (meet.iota(1, 0), meet.iota(1, 0))
     assert meet.mu(2, 1, t, us) == (0, 1)
     with pytest.raises(ContextError):
-        meet.mu(3, 1, t, us)
+        meet.mu(3, 1, t, us)  # the result and column-index memos are warm
+    with pytest.raises(ContextError):
+        meet.mu(1, 1, t, us)
+
+
+def test_finite_mu_rejects_value_tables_of_the_wrong_length():
+    meet = FiniteClone(MEET, 3)
+    x0, x1 = meet.iota(2, 0), meet.iota(2, 1)
+    with pytest.raises(ContextError, match="needs 4 entries, got 5"):
+        meet.mu(2, 2, (0, 0, 0, 1, 1), (x0, x1))
+    with pytest.raises(ContextError, match="needs 4 entries, got 3"):
+        meet.mu(2, 2, (0, 0, 0), (x0, x1))
+    with pytest.raises(ContextError, match="needs 4 entries, got 2"):
+        meet.mu(2, 2, (0, 0, 0, 1), (x0, (0, 1)))
+    # a warm (n, us) column index still checks the table it is applied to
+    assert meet.mu(2, 2, (0, 0, 0, 1), (x0, x1)) == (0, 0, 0, 1)
+    with pytest.raises(ContextError, match="needs 4 entries, got 5"):
+        meet.mu(2, 2, (0, 0, 0, 1, 1), (x0, x1))
+
+
+def test_warm_finite_iota_still_checks_its_index():
+    meet = FiniteClone(MEET, 3)
+    for m in range(4):
+        for i in range(m):
+            assert meet.iota(m, i) is meet.iota(m, i)
+    for m, i in ((2, 2), (2, -1), (0, 0), (3, 5)):
+        with pytest.raises(ContextError, match="outside arity"):
+            meet.iota(m, i)
 
 
 def test_finite_mu_matches_row_major_reference():

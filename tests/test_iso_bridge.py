@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from clone_forge import clone as clone_module
 from clone_forge.clone import (
     App,
     Budget,
@@ -17,7 +18,8 @@ from clone_forge.clone import (
     free_mu,
     theory_laws_check,
 )
-from clone_forge.fin_cat import FinMap
+from clone_forge.corpus import meet_semilattice
+from clone_forge.fin_cat import FinMap, enumerate_maps
 from clone_forge.iso_bridge import (
     PhiContext,
     c_functor,
@@ -263,3 +265,41 @@ def test_wrong_consumption_order_breaks_roundtrip():
     right = phi(PhiContext(alg, 2, 1, lifted, us))
     assert right == free_mu(2, 1, t, us)
     assert wrong != right
+
+
+@pytest.mark.parametrize(
+    "make", [lambda: FiniteClone(meet_semilattice(), 3), lambda: builtin_clone("initial")]
+)
+def test_memoized_action_and_substitution_match_their_formulas(make):
+    # the reference clone shares no memo with the algebra under test; the
+    # second pass reads the algebra's warm memos
+    alg, ref = s_functor(make()), make()
+    for _ in range(2):
+        for m, n in itertools.product(range(4), repeat=2):
+            for f in enumerate_maps(m, n):
+                images = tuple(ref.iota(n, f.table[i]) for i in range(m))
+                for t in alg.base.set(m):
+                    assert alg.base.act(f, t) == ref.mu(m, n, t, images)
+        for m in range(3):
+            variables = tuple(ref.iota(m, i) for i in range(m))
+            for x in alg.base.set(m + 1):
+                for y in alg.base.set(m):
+                    assert alg.s_at(m, x, y) == ref.mu(m + 1, m, x, variables + (y,))
+
+
+def test_tabulating_s_meet_computes_each_column_index_once(monkeypatch):
+    clone = FiniteClone(meet_semilattice(), 4)
+    for n in range(5):
+        clone.elems(n)  # the closure builds its own indices; keep them out of the count
+    calls = 0
+    columns = clone_module._columns
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return columns(*args)
+
+    monkeypatch.setattr(clone_module, "_columns", counted)
+    truncate_algebra(s_functor(clone), 4)
+    assert calls == len(clone._columns_memo) == 499
+    assert len(clone._mu_memo) == 6177
