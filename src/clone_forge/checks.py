@@ -88,7 +88,9 @@ def instance_stream(axes, policy: CheckPolicy, label: str):
     """Iterate the product of axes, or a seeded sample when it is too big.
 
     Returns (mode, iterator).  String seeding keeps draws stable across
-    processes regardless of hash randomization.
+    processes regardless of hash randomization.  A draw takes one index per
+    axis, in axis order, as ``rng.randrange(len(axis))`` would: redraw
+    ``getrandbits(len(axis).bit_length())`` until it is below the length.
     """
     sizes = [len(a) for a in axes]
     total = math.prod(sizes)
@@ -96,11 +98,18 @@ def instance_stream(axes, policy: CheckPolicy, label: str):
         return "vacuous", iter(())
     if total <= policy.exhaustive_threshold:
         return "exhaustive", itertools.product(*axes)
-    rng = random.Random(f"{policy.seed}|{label}")
+    getrandbits = random.Random(f"{policy.seed}|{label}").getrandbits
+    bits = [(a, n, n.bit_length()) for a, n in zip(axes, sizes)]
 
     def draw():
         for _ in range(policy.sample_size):
-            yield tuple(a[rng.randrange(len(a))] for a in axes)
+            values = []
+            for a, n, k in bits:
+                r = getrandbits(k)
+                while r >= n:
+                    r = getrandbits(k)
+                values.append(a[r])
+            yield tuple(values)
 
     return "sampled", draw()
 

@@ -311,9 +311,18 @@ class FiniteClone(Clone):
         return list(self._carriers[n])
 
     def _closure(self, n: int) -> list[tuple[int, ...]]:
+        """The projections at arity n closed under the operations, in the
+        order found: each round applies every operation to every argument
+        tuple of the elements found so far, in product order.
+
+        An argument tuple of elements that were all there in the previous
+        round gave its value then, so a round evaluates only the tuples
+        holding an element the round before it added.
+        """
         k = self.algebra.carrier_size
         elems = [self.iota(n, i) for i in range(n)]
         seen = set(elems)
+        old = set()
         changed = True
         while changed:
             changed = False
@@ -325,12 +334,14 @@ class FiniteClone(Clone):
                     candidates = (
                         tuple(map(table.__getitem__, _columns(fs, k, k**n)))
                         for fs in itertools.product(snapshot, repeat=arity)
+                        if not old.issuperset(fs)
                     )
                 for cand in candidates:
                     if cand not in seen:
                         seen.add(cand)
                         elems.append(cand)
                         changed = True
+            old.update(snapshot)
         return elems
 
     def mu(self, m, n, t, us):

@@ -150,9 +150,15 @@ def enumerate_maps(m: int, n: int) -> list[FinMap]:
 
     The order is a file-format contract: serialized action tables are keyed
     by it.  m = 0 yields exactly the empty map, even when n = 0; n = 0 with
-    m > 0 yields nothing.
+    m > 0 yields nothing.  Each call returns a new list of the maps built
+    at the first call for (m, n).
     """
-    return [FinMap(m, n, t) for t in itertools.product(range(n), repeat=m)]
+    return list(_maps(m, n))
+
+
+@lru_cache(maxsize=None)
+def _maps(m: int, n: int) -> tuple[FinMap, ...]:
+    return tuple(FinMap(m, n, t) for t in itertools.product(range(n), repeat=m))
 
 
 def symmetric_monoid_diagrams(

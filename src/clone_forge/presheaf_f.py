@@ -277,7 +277,8 @@ def stored_compose_sides(
 ):
     """compose_sides for maps l -> m -> n of stored tables, with blocks for a sweep.
 
-    sides(first, second, x) is compose_sides on P.act.  sides(first) returns
+    sides(first, second, x) is compose_sides on P.act, read from the index
+    tables without building the composite map.  sides(first) returns
     the values at every x of stage l for every map in seconds, in order, as
     two lists of index rows: the composite's stored rows and the second rows
     read through the first.  It builds them by zipping columns: column i
@@ -296,7 +297,10 @@ def stored_compose_sides(
     def sides(f, *instance):
         nonlocal map_columns, row_columns
         if instance:
-            return compose_sides(P.act, composite_lhs, f, *instance)
+            g, x = instance
+            composite = composites[tuple(map(g.table.__getitem__, f.table))][x]
+            stepwise = second_rows[g.table][firsts[f.table][x]]
+            return (composite, stepwise) if composite_lhs else (stepwise, composite)
         if map_columns is None:
             tables = [g.table for g in seconds]
             map_columns = list(zip(*tables))

@@ -1,6 +1,8 @@
 """The law runner: a Row last axis against the same law given element by element."""
 
-from clone_forge.checks import CheckPolicy, Group, Row, check_law
+import random
+
+from clone_forge.checks import CheckPolicy, Group, Row, check_law, instance_stream
 
 NAMES = "m a x lhs rhs"
 
@@ -174,3 +176,16 @@ def test_group_before_the_row():
     assert (check.passed, check.instances) == (False, 9)
     assert check.counterexample["ab"] == (1, 0)
     assert list(check.counterexample) == ["m", "ab", "x", "lhs", "rhs", "law", "combo"]
+
+
+def test_sampled_draws_are_randrange_draws():
+    # a draw must read the generator as randrange does, or every sampled
+    # check would silently change its instances and witnesses
+    sizes = [*range(1, 301), 1024, 1025, 4096, 65536, 65537]
+    policy = CheckPolicy(exhaustive_threshold=0, sample_size=20, seed=5)
+    for n, other in zip(sizes, reversed(sizes)):
+        axes = [range(n), range(other), "ab"]
+        mode, draws = instance_stream(axes, policy, f"law|{n}")
+        rng = random.Random(f"5|law|{n}")
+        expected = [tuple(a[rng.randrange(len(a))] for a in axes) for _ in range(20)]
+        assert (mode, list(draws)) == ("sampled", expected)

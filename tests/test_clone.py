@@ -9,6 +9,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from clone_forge import clone as clone_module
 from clone_forge.checks import CarrierUnavailable, CheckPolicy
 from clone_forge.clone import (
     App,
@@ -477,6 +478,58 @@ def test_finite_mu_matches_row_major_reference():
                 assert clone.mu(m, n, t, us) == reference(2, n, t, us)
                 checked += 1
     assert checked == 2785  # sum over m, n of |C_m| * |C_n|**m
+
+
+def closure_every_round(algebra, n):
+    """The arity-n carrier as FiniteClone._closure built it before it skipped
+    old argument tuples: each round applies every operation to every tuple
+    of the elements found so far, in product order, appending new values."""
+    k = algebra.carrier_size
+    elems = [tuple((j // k ** (n - 1 - i)) % k for j in range(k**n)) for i in range(n)]
+    changed = True
+    while changed:
+        changed = False
+        snapshot = list(elems)
+        for arity, table in algebra.operations.values():
+            for fs in itertools.product(snapshot, repeat=arity):
+                value = []
+                for j in range(k**n):
+                    idx = 0
+                    for f in fs:
+                        idx = idx * k + f[j]
+                    value.append(table[idx])
+                if tuple(value) not in elems:
+                    elems.append(tuple(value))
+                    changed = True
+    return elems
+
+
+def test_finite_closure_matches_every_round_closure():
+    # subtraction mod 3 and the constant 1 close in several rounds, to all
+    # 3**(n+1) affine maps; carriers are indexed by position, so the order
+    # of the elements must not change either
+    minus = FiniteAlgebra(3, {"one": (0, (1,)), "minus": (2, tuple(
+        (x - y) % 3 for x in range(3) for y in range(3)
+    ))})
+    clone = FiniteClone(minus, 3)
+    for n in range(4):
+        assert clone.elems(n) == closure_every_round(minus, n)
+    assert [len(clone.elems(n)) for n in range(4)] == [3, 9, 27, 81]
+
+
+def test_closing_meet_indexes_each_argument_tuple_once(monkeypatch):
+    columns, calls = clone_module._columns, []
+
+    def counted(fs, k, width):
+        calls.append(fs)
+        return columns(fs, k, width)
+
+    monkeypatch.setattr(clone_module, "_columns", counted)
+    meet = FiniteClone(MEET, 5)
+    assert [len(meet.elems(n)) for n in range(6)] == [0, 1, 3, 7, 15, 31]
+    # every round evaluates only the pairs holding an element the round
+    # before added; re-evaluating every pair each round made 2,560 calls
+    assert len(calls) == len(set(calls)) == 1245
 
 
 def test_clone_law_coverage_at_default_budget():

@@ -182,6 +182,23 @@ def test_enumerate_counts_and_order():
         assert len(enumerate_maps(m, n)) == n**m
 
 
+def test_enumerate_maps_builds_each_hom_set_once(monkeypatch):
+    fin_cat._maps.cache_clear()
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return FinMap(*args)
+
+    monkeypatch.setattr(fin_cat, "FinMap", counted)
+    first = enumerate_maps(3, 2)
+    assert len(built) == 8
+    first.clear()
+    again = enumerate_maps(3, 2)
+    assert len(built) == 8
+    assert again == [FinMap(3, 2, t) for t in itertools.product(range(2), repeat=3)]
+
+
 def test_composition_associative_exhaustive_small():
     sizes = range(4)
     for a, b, c, d in itertools.product(sizes, repeat=4):

@@ -5,7 +5,7 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
-from clone_forge import presheaf_f
+from clone_forge import fin_cat, presheaf_f
 from clone_forge.checks import (
     CheckPolicy,
     LawCheck,
@@ -206,6 +206,31 @@ def test_a_sampled_stored_family_asks_for_one_element_per_draw():
     check = check_law("act-compose", CheckPolicy(), names, families)
     assert (check.passed, check.mode, check.instances) == (True, "sampled", 2000)
     assert calls == [3] * 2000
+
+
+def test_a_stored_instance_is_compose_sides_on_act():
+    # compose-action puts the composite's value on the lhs, act-compose the
+    # stepwise value
+    initial = truncate_presheaf(s_functor(builtin_clone("initial")).base, 3)
+    breaker = dict(designed_mutants())["act-compose"].algebra.base
+    for P in (initial, breaker):
+        for l, m, n in itertools.product(range(P.bound + 1), repeat=3):
+            firsts, seconds = enumerate_maps(l, m), enumerate_maps(m, n)
+            composite_lhs, stepwise_lhs = (
+                presheaf_f.stored_compose_sides(P, l, m, n, seconds, lhs) for lhs in (True, False)
+            )
+            instances = list(itertools.product(firsts, seconds, P.set(l)))
+            want = [presheaf_f.compose_sides(P.act, True, *i) for i in instances]
+            assert [composite_lhs(*i) for i in instances] == want
+            assert [stepwise_lhs(*i)[::-1] for i in instances] == want
+
+
+def test_a_sampled_stored_check_builds_no_composite_map():
+    P = truncate_presheaf(s_functor(builtin_clone("initial")).base, 4)
+    fin_cat.compose_cached.cache_clear()
+    check = fresh_check(P, "act-compose", 4, CheckPolicy(seed=0))
+    assert (check.passed, check.mode) == (True, "sampled")
+    assert fin_cat.compose_cached.cache_info().currsize == 0
 
 
 @pytest.mark.parametrize("law", sorted(COMPOSITION_LAWS))
