@@ -37,9 +37,9 @@ from .io_formats import (
 from .iso_bridge import c_functor, roundtrip_alg, roundtrip_clone, s_functor
 from .presheaf_f import StageRangeError
 from .subst_algebra import (
-    agreement_report,
     check_diagrams,
     check_presentation,
+    check_v_naturality,
     truncate_algebra,
 )
 
@@ -186,12 +186,10 @@ def cmd_check_subst(config: RunConfig):
         raise InputError("check-subst needs --input FILE")
     algebra = load_subst_algebra(config.input)
     policy = _policy(config)
-    pres = check_presentation(algebra, config.bound, policy)
-    diag = check_diagrams(algebra, config.bound, policy)
     return [
-        ("presentation", pres),
-        ("diagrams", diag),
-        ("agreement", agreement_report(pres, diag)),
+        ("presentation", check_presentation(algebra, config.bound, policy)),
+        ("diagrams", check_diagrams(algebra, config.bound, policy)),
+        ("variable", check_v_naturality(algebra, config.bound, policy)),
     ]
 
 

@@ -2,10 +2,7 @@
 
 The mutant battery drives two distinct tests: verdict agreement between the
 two substitution-law presentations, and per-law sensitivity of the equation
-checker.  Agreement mutants never touch the variable family above stage 0 and
-never corrupt the action of a one-point domain map: a non-natural variable
-family and a corrupted variable insertion are invisible to the equational
-presentation, whose only variable datum is the stage-0 one.
+checker.
 """
 
 from __future__ import annotations
@@ -78,7 +75,6 @@ class Mutant:
     name: str
     algebra: TableSubstAlgebra
     bound: int
-    agreement_safe: bool
 
 
 def _initial_table_algebra(bound: int = 4) -> TableSubstAlgebra:
@@ -101,29 +97,29 @@ def _designed_mutants(base: TableSubstAlgebra) -> list[tuple[str, Mutant]]:
     out = []
 
     cx = base.with_act_entry(FinMap(3, 4, (0, 0, 0)), 0, 1)
-    out.append(("act-compose", Mutant("compose-breaker", cx, 4, True)))
+    out.append(("act-compose", Mutant("compose-breaker", cx, 4)))
 
     ident = base.with_act_entry(FinMap(4, 4, (0, 1, 2, 3)), 1, 0)
-    out.append(("act-identity", Mutant("identity-breaker", ident, 4, True)))
+    out.append(("act-identity", Mutant("identity-breaker", ident, 4)))
 
     nat = base.with_act_entry(FinMap(2, 2, (0, 0)), 1, 1)
-    out.append(("naturality", Mutant("naturality-breaker", nat, 4, True)))
+    out.append(("naturality", Mutant("naturality-breaker", nat, 4)))
 
     # s_2(2, 0): stage-2 variable substituted into 0, true value 0
     unit = base.with_s_entry(2, 2, 0, 1)
-    out.append(("unit", Mutant("unit-breaker", unit, 4, True)))
+    out.append(("unit", Mutant("unit-breaker", unit, 4)))
 
     # s_2(0, 1): substituting the stage-1 variable, true value 0
     contr = base.with_s_entry(2, 0, 1, 1)
-    out.append(("contraction", Mutant("contraction-breaker", contr, 4, True)))
+    out.append(("contraction", Mutant("contraction-breaker", contr, 4)))
 
     # s_2(0, 0): weakened first argument, true value 0
     weak = base.with_s_entry(2, 0, 0, 1)
-    out.append(("weakening", Mutant("weakening-breaker", weak, 4, True)))
+    out.append(("weakening", Mutant("weakening-breaker", weak, 4)))
 
     # s_3(1, 2): inner instance of the associativity family, true value 1
     assoc = base.with_s_entry(3, 1, 2, 2)
-    out.append(("associativity", Mutant("associativity-breaker", assoc, 4, True)))
+    out.append(("associativity", Mutant("associativity-breaker", assoc, 4)))
     return out
 
 
@@ -144,7 +140,6 @@ def mutant_battery() -> list[Mutant]:
                         f"initial/s[{m}]({x},{y})",
                         base.with_s_entry(m, x, y, bumped),
                         4,
-                        True,
                     )
                 )
 
@@ -157,18 +152,16 @@ def mutant_battery() -> list[Mutant]:
             "meet/s[2]-bump",
             meet_alg.with_s_entry(2, 0, 0, (meet_alg.s_at(2, 0, 0) + 1) % 3),
             4,
-            True,
         )
     )
 
-    # variable corruption above stage 0: invisible to the equational
-    # presentation, excluded from agreement comparisons by construction
+    # a variable corruption above stage 0: not v-natural, and unseen by the
+    # equations, which read only the stage-0 variable
     mutants.append(
         Mutant(
             "initial/v[2]-bump",
             base.with_v(2, (base.v_at(2) + 1) % base.base.carrier_sizes[3]),
             4,
-            False,
         )
     )
     return mutants

@@ -30,9 +30,9 @@ from .fin_cat import check_symmetric_monoid, generators, identity
 from .iso_bridge import roundtrip_alg, roundtrip_clone, s_functor
 from .presheaf_f import check_delta_laws, check_functoriality, representable_V
 from .subst_algebra import (
-    agreement_report,
     check_diagrams,
     check_presentation,
+    check_v_naturality,
     hom_check,
     variable_family,
 )
@@ -105,12 +105,10 @@ def presheaf_job(settings: Settings):
 def presentation_job(settings: Settings, name: str):
     budget, policy, clones = _inputs(settings)
     algebra = s_functor(clones[name], budget)
-    pres = check_presentation(algebra, settings.bound, policy)
-    diag = check_diagrams(algebra, settings.bound, policy)
     return [
-        (f"presentation:S({name})", pres),
-        (f"diagrams:S({name})", diag),
-        (f"agreement:S({name})", agreement_report(pres, diag)),
+        (f"presentation:S({name})", check_presentation(algebra, settings.bound, policy)),
+        (f"diagrams:S({name})", check_diagrams(algebra, settings.bound, policy)),
+        (f"variable:S({name})", check_v_naturality(algebra, settings.bound, policy)),
     ]
 
 

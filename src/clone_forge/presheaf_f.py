@@ -177,18 +177,9 @@ class DeltaPresheaf(Presheaf):
         return self.P.act(shifted(f), x)
 
 
-class BulletPresheaf(Presheaf):
-    """The pointed shift: stage m pairs a stage-(m+1) element with a stage-m one."""
-
-    def __init__(self, P: Presheaf):
-        self.P = P
-        self.name = f"bullet({P.name})"
-
-    def set(self, m):
-        return [(a, b) for a in self.P.set(m + 1) for b in self.P.set(m)]
-
-    def act(self, f, x):
-        return (self.P.act(shifted(f), x[0]), self.P.act(f, x[1]))
+def bullet_presheaf(P: Presheaf) -> Presheaf:
+    """The pointed shift, delta(P) x P: stage m pairs a stage-(m+1) element with a stage-m one."""
+    return ProductPresheaf(DeltaPresheaf(P), P)
 
 
 @lru_cache(maxsize=None)
@@ -453,7 +444,7 @@ def check_delta_laws(
     dsPP = DeltaStructure(PP)
     st = Strengths(P, P)
     st_shift = Strengths(DeltaPresheaf(P), P)
-    dsB = DeltaStructure(BulletPresheaf(P))
+    dsB = DeltaStructure(bullet_presheaf(P))
     st_shift_pair = Strengths(DeltaPresheaf(P), DeltaPresheaf(P))
 
     def strength_mu(m, a, y):

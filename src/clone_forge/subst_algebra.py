@@ -5,6 +5,7 @@ paired with stage m back into stage m, and a generic variable v_m at stage
 m+1.  Two checkers decide the laws: one runs the seven-family equational
 presentation, the other the diagram presentation compiled to its stage-wise
 components; a documented mapping links the two for verdict comparison.
+A third checker, v-naturality, decides whether both read the same variable.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import itertools
 from functools import partial
 
-from .checks import CheckPolicy, LawCheck, Report, check_law, stage_carriers
+from .checks import CheckPolicy, Report, check_law, stage_carriers
 from .fin_cat import FinMap, enumerate_maps, identity, new, shifted
 from .presheaf_f import (
     DeltaPresheaf,
@@ -292,29 +293,14 @@ def check_diagrams(
     return report
 
 
-def agreement_report(pres: Report, diag: Report) -> Report:
-    """Verdict agreement between the two presentations, law for law."""
-    report = Report()
-    for eq_law, diagram_law in LAW_MAPPING.items():
-        left = pres.check(eq_law)
-        right = diag.check(diagram_law)
-        agree = left.passed == right.passed
-        witness = None
-        if not agree:
-            witness = {
-                "equation-verdict": left.passed,
-                "diagram-verdict": right.passed,
-            }
-        report.checks.append(
-            LawCheck(f"{eq_law}<->{diagram_law}", agree, "exhaustive", 1, witness)
-        )
-    return report
-
-
 def check_v_naturality(
     alg: SubstAlgebra, bound: int = 3, policy: CheckPolicy | None = None
 ) -> Report:
     """The variable family commutes with shifted actions.
+
+    Then the family is the presheaf map V -> A that the datum v_0 names, and
+    the equations, which read v_0 renamed into each stage, read the same
+    variables as the diagrams, which read each v_m.
 
     v_m lives at stage m+1, so the law reads stages 0..bound; the first stage
     the base cannot enumerate lowers the bound, with a note.

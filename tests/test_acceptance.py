@@ -39,6 +39,7 @@ from clone_forge.subst_algebra import (
     LAW_MAPPING,
     check_diagrams,
     check_presentation,
+    check_v_naturality,
     hom_check,
     truncate_algebra,
     variable_family,
@@ -46,7 +47,7 @@ from clone_forge.subst_algebra import (
 
 FREE_SIG = Signature({"b": 2, "e": 0})
 # sha256 of `clone-forge demo --format json` stdout at default flags (no --seed)
-DEMO_SHA256 = "bc6378f163c446d01f8be6a7e6a57e2a0cc1148460d2c1c210824c54fbf16d72"
+DEMO_SHA256 = "be975cd303d232deb38925da3c6a5b9b7b537300e2a1a7e6fca995aad435da7f"
 
 
 def corpus_clones():
@@ -142,9 +143,13 @@ def test_criterion_5_presentation_equivalence():
     structures.append(
         ("meet-table", truncate_algebra(s_functor(meet_clone), 4), 4)
     )
-    safe_mutants = [m for m in mutant_battery() if m.agreement_safe]
-    assert len(safe_mutants) >= 20
-    structures.extend((m.name, m.algebra, m.bound) for m in safe_mutants)
+    battery = mutant_battery()
+    natural = [m for m in battery if check_v_naturality(m.algebra, m.bound).passed]
+    assert [m.name for m in natural] == [
+        m.name for m in battery if m.name != "initial/v[2]-bump"
+    ]
+    assert len(natural) == 26
+    structures.extend((m.name, m.algebra, m.bound) for m in natural)
 
     ok = True
     for name, algebra, bound in structures:

@@ -10,7 +10,7 @@ from clone_forge import cli
 from clone_forge.checks import CheckPolicy, describe
 from clone_forge.cli import EXIT_FAIL, EXIT_INPUT, EXIT_PASS, main
 from clone_forge.clone import Budget, Clone, FiniteClone, builtin_clone
-from clone_forge.corpus import designed_mutants, meet_semilattice
+from clone_forge.corpus import designed_mutants, meet_semilattice, mutant_battery
 from clone_forge.io_formats import dump_subst_algebra
 from clone_forge.iso_bridge import s_functor
 from clone_forge.subst_algebra import check_presentation, truncate_algebra
@@ -80,7 +80,7 @@ def test_to_subst_and_check_subst(tmp_path, capsys):
     assert code == EXIT_PASS
     code, out = run(capsys, "check-subst", "--input", str(out_path))
     assert code == EXIT_PASS
-    assert "agreement:unit<->left-unit-diagram" in out
+    assert "PASS variable:v-naturality" in out
 
 
 # sha256 of stdout and of the written file of
@@ -208,6 +208,17 @@ def test_check_subst_reports_the_load_sweep_as_act_compose(tmp_path, capsys, nam
     checks = {c["name"]: c for c in json.loads(out)["checks"]}
     check = checks["presentation:act-compose"]
     assert (check["passed"], check["mode"], check["instances"]) == (True, "exhaustive", instances)
+
+
+def test_check_subst_names_a_variable_that_is_not_natural(tmp_path, capsys):
+    bump = next(m for m in mutant_battery() if m.name == "initial/v[2]-bump")
+    path = tmp_path / "v-bump.json"
+    path.write_text(dump_subst_algebra(bump.algebra))
+    code, out = run(capsys, "check-subst", "--input", str(path), "--bound", "4", "--format", "json")
+    assert code == EXIT_FAIL
+    check = {c["name"]: c for c in json.loads(out)["checks"]}["variable:v-naturality"]
+    assert not check["passed"]
+    assert check["counterexample"]["combo"] == "0->2"
 
 
 def test_check_subst_on_a_non_functorial_file_exits_two(tmp_path, capsys):

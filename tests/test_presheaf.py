@@ -28,7 +28,6 @@ from clone_forge.fin_cat import (
 from clone_forge.iso_bridge import s_functor
 from clone_forge.presheaf_f import (
     COMPOSITION_LAWS,
-    BulletPresheaf,
     DeltaPresheaf,
     DeltaStructure,
     Presheaf,
@@ -37,6 +36,7 @@ from clone_forge.presheaf_f import (
     Strengths,
     TerminalPresheaf,
     TruncatedPresheaf,
+    bullet_presheaf,
     check_composition,
     check_delta_laws,
     check_functoriality,
@@ -467,7 +467,7 @@ def test_ell_roundtrip_is_identity():
 
 def test_bullet_presheaf_action():
     V = representable_V()
-    B = BulletPresheaf(V)
+    B = bullet_presheaf(V)
     assert B.set(1) == [(a, b) for a in range(2) for b in range(1)]
     f = FinMap(1, 2, (1,))
     # first component moves along f + id_1 with table (1, 2), second along f

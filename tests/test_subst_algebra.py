@@ -123,9 +123,13 @@ def test_forgetful_algebra_fails_same_laws_in_both_modes():
 
 
 def test_agreement_over_battery():
-    for mutant in mutant_battery():
-        if not mutant.agreement_safe:
-            continue
+    battery = mutant_battery()
+    natural = [m for m in battery if check_v_naturality(m.algebra, m.bound).passed]
+    assert [m.name for m in natural] == [
+        m.name for m in battery if m.name != "initial/v[2]-bump"
+    ]
+    assert len(natural) == 26
+    for mutant in natural:
         pres = check_presentation(mutant.algebra, mutant.bound)
         diag = check_diagrams(mutant.algebra, mutant.bound)
         for eq_law, diagram_law in LAW_MAPPING.items():
