@@ -110,37 +110,32 @@ def _clone_from_flags(config: RunConfig):
     return FiniteClone(algebra, config.max_arity)
 
 
-def _carrier_note(clone, budget: Budget) -> str:
-    top = budget.max_arity
-    carriers = stage_carriers(lambda n: clone.elems(n, budget), top, Report())
-    sizes = [len(c) for c in carriers.values()] + [None] * (top + 1 - len(carriers))
-    return f"carrier sizes C_0..C_{top}: {sizes}"
-
-
 def cmd_check_f(config: RunConfig):
     g = generators()
     return [("fin-cat", check_symmetric_monoid(g.c, g.w, g.s))]
 
 
+def _clone_laws(clone, config: RunConfig):
+    """The clone laws of clone, with a note of its carrier sizes."""
+    budget = _budget(config)
+    report = clone_laws_check(clone, budget, _policy(config))
+    top = budget.max_arity
+    carriers = stage_carriers(lambda n: clone.elems(n, budget), top, Report())
+    sizes = [len(c) for c in carriers.values()] + [None] * (top + 1 - len(carriers))
+    report.notes.append(f"carrier sizes C_0..C_{top}: {sizes}")
+    return [("clone-laws", report)]
+
+
 def cmd_free_clone(config: RunConfig):
     if not config.signature:
         raise InputError("free-clone needs --signature FILE")
-    clone = FreeClone(load_signature(config.signature))
-    budget = _budget(config)
-    report = clone_laws_check(clone, budget, _policy(config))
-    report.notes.append(_carrier_note(clone, budget))
-    return [("clone-laws", report)]
+    return _clone_laws(FreeClone(load_signature(config.signature)), config)
 
 
 def cmd_finite_clone(config: RunConfig):
     if not config.input:
         raise InputError("finite-clone needs --input FILE")
-    algebra = load_finite_algebra(config.input)
-    clone = FiniteClone(algebra, config.max_arity)
-    budget = _budget(config)
-    report = clone_laws_check(clone, budget, _policy(config))
-    report.notes.append(_carrier_note(clone, budget))
-    return [("clone-laws", report)]
+    return _clone_laws(FiniteClone(load_finite_algebra(config.input), config.max_arity), config)
 
 
 def cmd_check_clone(config: RunConfig):

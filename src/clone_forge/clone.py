@@ -578,6 +578,29 @@ def enumerate_theory_homs(
     return len(carrier) ** n, [TheoryHom(m, n, combo) for combo in combos]
 
 
+def clone_hom_families(h, src: Clone, dst: Clone, carriers: dict[int, list]) -> dict:
+    """clone_hom_check's laws as {law: (names, families)} on the source's carriers.
+
+    A law's samples are seeded by the name it is checked under.
+    """
+
+    def iota(m, i):
+        return h(m, src.iota(m, i)), dst.iota(m, i)
+
+    def mu(m, n, t, *us):
+        return h(n, src.mu(m, n, t, us)), dst.mu(m, n, h(m, t), tuple(h(n, u) for u in us))
+
+    return {
+        "iota-preservation": ("m i lhs rhs", (
+            (f"m={m}", (m,), [list(range(m))], partial(iota, m)) for m in carriers
+        )),
+        "mu-preservation": ("t us lhs rhs", (
+            (f"m={m},n={n}", (), [carriers[m], Group([carriers[n]] * m)], partial(mu, m, n))
+            for m, n in itertools.product(carriers, repeat=2)
+        )),
+    }
+
+
 def clone_hom_check(
     h,
     src: Clone,
@@ -590,18 +613,6 @@ def clone_hom_check(
     policy = policy or CheckPolicy()
     report = Report()
     carriers = stage_carriers(lambda n: src.elems(n, budget), budget.max_arity, report)
-
-    def iota(m, i):
-        return h(m, src.iota(m, i)), dst.iota(m, i)
-
-    def mu(m, n, t, *us):
-        return h(n, src.mu(m, n, t, us)), dst.mu(m, n, h(m, t), tuple(h(n, u) for u in us))
-
-    report.checks.append(check_law("iota-preservation", policy, "m i lhs rhs", (
-        (f"m={m}", (m,), [list(range(m))], partial(iota, m)) for m in carriers
-    )))
-    report.checks.append(check_law("mu-preservation", policy, "t us lhs rhs", (
-        (f"m={m},n={n}", (), [carriers[m], Group([carriers[n]] * m)], partial(mu, m, n))
-        for m, n in itertools.product(carriers, repeat=2)
-    )))
+    for law, (names, families) in clone_hom_families(h, src, dst, carriers).items():
+        report.checks.append(check_law(law, policy, names, families))
     return report

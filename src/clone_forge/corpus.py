@@ -43,9 +43,9 @@ def standard_clones(max_arity: int = 4) -> dict[str, Clone]:
 class ForgetfulAlgebra(SubstAlgebra):
     """Substitution that discards its subject and returns the substituend.
 
-    Natural in every stage and variable-consistent, so it passes the shared
-    gate while failing contraction and weakening in both presentations: a
-    non-trivial agreement witness.
+    Its action is functorial, s is natural and v passes v-naturality, but
+    it fails contraction and weakening in both presentations, so the two
+    presentations are compared on a failing verdict.
     """
 
     name = "forgetful"

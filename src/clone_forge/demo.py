@@ -4,10 +4,10 @@ The demo checks each presentation of the corpus theories in its own
 sections, and no section reads another's result.  So the sections are split
 into jobs; each job builds its own inputs from the corpus and returns its
 ``(section, Report)`` pairs.  A job is a module-level function plus plain
-arguments, so it pickles under any multiprocessing start method.  Jobs run
-in worker processes, longest first, and their results are put back in job
-order, which is the report's section order: stdout does not depend on the
-number of workers or on which job finishes first.
+arguments, so it pickles under any multiprocessing start method.  Jobs are
+handed to worker processes in job order, which is the report's section
+order, and their results are put back in that order: stdout does not depend
+on the number of workers or on which job finishes first.
 
 Workers are forked from the parent, which has already imported everything a
 job needs, and each one is tied to the parent's life: on Linux, a parent
@@ -51,7 +51,6 @@ class Settings(NamedTuple):
 
 
 class Job(NamedTuple):
-    cost: float  # expected seconds; sets the dispatch order and nothing else
     fn: Callable
     args: tuple
 
@@ -149,20 +148,17 @@ def tail_job(settings: Settings):
 def demo_jobs(settings: Settings) -> list[Job]:
     """The demo's jobs, in section order."""
 
-    def per_clone(fn, costs):
-        return [Job(costs.get(name, 0.0), fn, (settings, name)) for name in CLONES]
+    def per_clone(fn):
+        return [Job(fn, (settings, name)) for name in CLONES]
 
-    # costs: seconds in-process at default flags, each job alone in a fresh
-    # interpreter, the median of three to nine runs on a shared 2-core x86-64
-    # box with Python 3.11; 0.0 is under 0.1 s
     return [
-        Job(0.0, fin_cat_job, (settings,)),
-        *per_clone(clone_laws_job, {"free-b2e0": 4.1, "meet": 0.8}),
-        Job(1.0, theory_laws_job, (settings,)),
-        Job(0.0, presheaf_job, (settings,)),
-        *per_clone(presentation_job, {"free-b2e0": 2.3}),
-        *per_clone(roundtrip_clone_job, {"free-b2e0": 0.7}),
-        Job(0.2, tail_job, (settings,)),
+        Job(fin_cat_job, (settings,)),
+        *per_clone(clone_laws_job),
+        Job(theory_laws_job, (settings,)),
+        Job(presheaf_job, (settings,)),
+        *per_clone(presentation_job),
+        *per_clone(roundtrip_clone_job),
+        Job(tail_job, (settings,)),
     ]
 
 
@@ -196,7 +192,7 @@ def _end_with_parent(parent: int) -> None:
 
 
 def run_jobs(jobs: list[Job]) -> list:
-    """Run ``jobs`` in worker processes, longest first; results come in job order.
+    """Run ``jobs`` in worker processes, submitted in order; results come in job order.
 
     There is one worker per usable CPU, at most one per job.  A job's
     exception re-raises here with its own type; a worker that dies raises
@@ -213,9 +209,7 @@ def run_jobs(jobs: list[Job]) -> list:
     with ProcessPoolExecutor(
         workers, mp_context=context, initializer=_end_with_parent, initargs=(os.getpid(),)
     ) as pool:
-        futures = [None] * len(jobs)
-        for i in sorted(range(len(jobs)), key=lambda i: -jobs[i].cost):
-            futures[i] = pool.submit(jobs[i].fn, *jobs[i].args)
+        futures = [pool.submit(job.fn, *job.args) for job in jobs]
         done, pending = wait(futures, return_when=FIRST_EXCEPTION)
         if pending:  # a job raised: drop the queued jobs and re-raise
             for future in pending:

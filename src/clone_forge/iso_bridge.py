@@ -10,15 +10,14 @@ down on clones with non-commutative operators.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, replace
 from functools import partial
 
-from .checks import CheckPolicy, Group, Report, check_law, stage_carriers
-from .clone import Budget, Clone, clone_hom_check
-from .fin_cat import FinMap, enumerate_maps
+from .checks import CheckPolicy, Report, check_law, stage_carriers
+from .clone import Budget, Clone, clone_hom_check, clone_hom_families
+from .fin_cat import FinMap
 from .presheaf_f import Presheaf, StageRangeError, TruncatedPresheaf
-from .subst_algebra import SubstAlgebra, hom_check
+from .subst_algebra import SubstAlgebra, hom_check, hom_families
 
 
 class CloneActionPresheaf(Presheaf):
@@ -200,12 +199,19 @@ def c_on_hom(
     return report.extend(clone_side)
 
 
+def _identity(m, x):
+    return x
+
+
 def roundtrip_clone(
     clone: Clone,
     budget: Budget | None = None,
     policy: CheckPolicy | None = None,
 ) -> Report:
-    """Translate a clone to an algebra and back; demand equality on the nose."""
+    """Translate a clone to an algebra and back; demand equality on the nose.
+
+    Beyond equal carriers, that is clone_hom_check's laws at the identity family.
+    """
     budget = budget or Budget()
     policy = policy or CheckPolicy()
     back = c_functor(s_functor(clone, budget))
@@ -215,22 +221,12 @@ def roundtrip_clone(
     def carrier(n):
         return back.elems(n, budget), carriers[n]
 
-    def iota(m, i):
-        return back.iota(m, i), clone.iota(m, i)
-
-    def mu(m, n, t, *us):
-        return back.mu(m, n, t, us), clone.mu(m, n, t, us)
-
     report.checks.append(check_law("carrier-agreement", policy, "n lhs rhs", (
         (f"n={n}", (n,), [], partial(carrier, n)) for n in carriers
     )))
-    report.checks.append(check_law("iota-agreement", policy, "m i lhs rhs", (
-        (f"m={m}", (m,), [list(range(m))], partial(iota, m)) for m in carriers
-    )))
-    report.checks.append(check_law("mu-agreement", policy, "t us lhs rhs", (
-        (f"m={m},n={n}", (), [carriers[m], Group([carriers[n]] * m)], partial(mu, m, n))
-        for m, n in itertools.product(carriers, repeat=2)
-    )))
+    laws = clone_hom_families(_identity, back, clone, carriers)
+    report.checks.append(check_law("iota-agreement", policy, *laws["iota-preservation"]))
+    report.checks.append(check_law("mu-agreement", policy, *laws["mu-preservation"]))
     return report
 
 
@@ -242,34 +238,17 @@ def roundtrip_alg(
 ) -> Report:
     """Translate an algebra to a clone and back; demand equality on the nose.
 
-    Checking up to bound reads the carriers C_0..C_bound of the algebra's
-    clone, and the first one it lacks lowers the bound, with a note; on a
-    stored algebra that is the first C_n whose stage 2n is not stored.
+    That is hom_check's laws at the identity family.  Checking up to bound
+    reads the carriers C_0..C_bound of the algebra's clone, and the first one
+    it lacks lowers the bound, with a note; on a stored algebra that is the
+    first C_n whose stage 2n is not stored.
     """
     budget = budget or Budget()
     policy = policy or CheckPolicy()
     back = s_functor(c_functor(algebra), budget)
     report = Report()
-    A = stage_carriers(back.base.set, bound, report)
-    bound = len(A) - 1
-
-    def act(f, x):
-        return back.base.act(f, x), algebra.base.act(f, x)
-
-    def substitution(m, x, y):
-        return back.s_at(m, x, y), algebra.s_at(m, x, y)
-
-    def variable(m):
-        return back.v_at(m), algebra.v_at(m)
-
-    report.checks.append(check_law("act-agreement", policy, "f x lhs rhs", (
-        (f"{m}->{n}", (), [enumerate_maps(m, n), A[m]], act)
-        for m, n in itertools.product(range(bound + 1), repeat=2)
-    )))
-    report.checks.append(check_law("subst-agreement", policy, "m x y lhs rhs", (
-        (f"m={m}", (m,), [A[m + 1], A[m]], partial(substitution, m)) for m in range(bound)
-    )))
-    report.checks.append(check_law("variable-agreement", policy, "m lhs rhs", (
-        (f"m={m}", (m,), [], partial(variable, m)) for m in range(bound)
-    )))
+    laws = hom_families(_identity, back, algebra, stage_carriers(back.base.set, bound, report))
+    report.checks.append(check_law("act-agreement", policy, *laws["hom-naturality"]))
+    report.checks.append(check_law("subst-agreement", policy, *laws["hom-substitution"]))
+    report.checks.append(check_law("variable-agreement", policy, *laws["hom-variable"]))
     return report

@@ -332,6 +332,16 @@ COMPOSITION_LAWS = {
 }
 
 
+def identity_families(P: Presheaf, carriers: dict[int, list]):
+    """The families of act(id_m, x) = x, one per stage m in carriers, with axis x."""
+
+    def ident(f, x):
+        return P.act(f, x), x
+
+    for m in carriers:
+        yield f"m={m}", (m,), [carriers[m]], partial(ident, identity(m))
+
+
 def check_composition(
     P: Presheaf, law: str, carriers: dict[int, list], policy: CheckPolicy
 ) -> LawCheck:
@@ -369,13 +379,8 @@ def check_functoriality(
     policy = policy or CheckPolicy()
     report = Report()
     carriers = stage_carriers(P.set, bound, report)
-
-    def ident(f, x):
-        return P.act(f, x), x
-
-    report.checks.append(check_law("identity-action", policy, "m x lhs", (
-        (f"m={m}", (m,), [carriers[m]], partial(ident, identity(m))) for m in carriers
-    )))
+    identities = identity_families(P, carriers)
+    report.checks.append(check_law("identity-action", policy, "m x lhs", identities))
     report.checks.append(check_composition(P, "compose-action", carriers, policy))
     return report
 

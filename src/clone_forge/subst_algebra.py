@@ -14,7 +14,7 @@ import itertools
 from functools import partial
 
 from .checks import CheckPolicy, Report, check_law, stage_carriers
-from .fin_cat import FinMap, enumerate_maps, identity, new, shifted
+from .fin_cat import FinMap, enumerate_maps, new, shifted
 from .presheaf_f import (
     DeltaPresheaf,
     DeltaStructure,
@@ -22,6 +22,7 @@ from .presheaf_f import (
     Strengths,
     TruncatedPresheaf,
     check_composition,
+    identity_families,
     insert_map,
     merge_map,
     swap_map,
@@ -183,9 +184,6 @@ def check_presentation(
     nu = alg.v_at(0)
     nus = {m: act(new(m), nu) for m in range(bound)}  # nu renamed into stage m+1
 
-    def ident(f, x):
-        return act(f, x), x
-
     def naturality(m, n, f, x, y):
         return act(f, s_at(m, x, y)), s_at(n, act(shifted(f), x), act(f, y))
 
@@ -202,11 +200,9 @@ def check_presentation(
         lhs = s_at(m, s_at(m + 1, x, y), z)
         return lhs, s_at(m, s_at(m + 1, act(swap, x), act(pad, z)), s_at(m, y, z))
 
-    stages = range(bound + 1)
     report.checks.append(check_composition(alg.base, "act-compose", A, policy))
-    report.checks.append(check_law("act-identity", policy, "m x lhs", (
-        (f"m={m}", (m,), [A[m]], partial(ident, identity(m))) for m in stages
-    )))
+    identities = identity_families(alg.base, A)
+    report.checks.append(check_law("act-identity", policy, "m x lhs", identities))
     report.checks.append(check_law("naturality", policy, "f x y lhs rhs", (
         (f"{m}->{n}", (), [enumerate_maps(m, n), A[m + 1], A[m]], partial(naturality, m, n))
         for m, n in itertools.product(range(bound), repeat=2)
@@ -319,6 +315,36 @@ def check_v_naturality(
     return report
 
 
+def hom_families(h, src: SubstAlgebra, dst: SubstAlgebra, A: dict[int, list]) -> dict:
+    """hom_check's laws as {law: (names, families)} on the source's carriers A.
+
+    The bound is A's top stage.  A law's samples are seeded by the name it is checked under.
+    """
+    bound = len(A) - 1
+
+    def naturality(m, n, f, x):
+        return h(n, src.base.act(f, x)), dst.base.act(f, h(m, x))
+
+    def variable(m):
+        return h(m + 1, src.v_at(m)), dst.v_at(m)
+
+    def substitution(m, x, y):
+        return h(m, src.s_at(m, x, y)), dst.s_at(m, h(m + 1, x), h(m, y))
+
+    return {
+        "hom-naturality": ("f x lhs rhs", (
+            (f"{m}->{n}", (), [enumerate_maps(m, n), A[m]], partial(naturality, m, n))
+            for m, n in itertools.product(range(bound + 1), repeat=2)
+        )),
+        "hom-variable": ("m lhs rhs", (
+            (f"m={m}", (m,), [], partial(variable, m)) for m in range(bound)
+        )),
+        "hom-substitution": ("m x y lhs rhs", (
+            (f"m={m}", (m,), [A[m + 1], A[m]], partial(substitution, m)) for m in range(bound)
+        )),
+    }
+
+
 def hom_check(
     h,
     src: SubstAlgebra,
@@ -337,27 +363,8 @@ def hom_check(
     if isinstance(dst.base, TruncatedPresheaf):
         bound = len(stage_carriers(dst.base.set, bound, report)) - 1
     A = stage_carriers(src.base.set, bound, report)
-    bound = len(A) - 1
-
-    def naturality(m, n, f, x):
-        return h(n, src.base.act(f, x)), dst.base.act(f, h(m, x))
-
-    def variable(m):
-        return h(m + 1, src.v_at(m)), dst.v_at(m)
-
-    def substitution(m, x, y):
-        return h(m, src.s_at(m, x, y)), dst.s_at(m, h(m + 1, x), h(m, y))
-
-    report.checks.append(check_law("hom-naturality", policy, "f x lhs rhs", (
-        (f"{m}->{n}", (), [enumerate_maps(m, n), A[m]], partial(naturality, m, n))
-        for m, n in itertools.product(range(bound + 1), repeat=2)
-    )))
-    report.checks.append(check_law("hom-variable", policy, "m lhs rhs", (
-        (f"m={m}", (m,), [], partial(variable, m)) for m in range(bound)
-    )))
-    report.checks.append(check_law("hom-substitution", policy, "m x y lhs rhs", (
-        (f"m={m}", (m,), [A[m + 1], A[m]], partial(substitution, m)) for m in range(bound)
-    )))
+    for law, (names, families) in hom_families(h, src, dst, A).items():
+        report.checks.append(check_law(law, policy, names, families))
     return report
 
 

@@ -6,12 +6,14 @@ threshold, reported as such in each check's mode.
 """
 
 import hashlib
+import importlib.util
 import itertools
 import json
 import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -46,8 +48,21 @@ from clone_forge.subst_algebra import (
 )
 
 FREE_SIG = Signature({"b": 2, "e": 0})
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _digest_pins():
+    """scripts/check_digests.py as a module: the one place each digest is pinned."""
+    path = ROOT / "scripts" / "check_digests.py"
+    spec = importlib.util.spec_from_file_location("check_digests", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+PINS = _digest_pins()
 # sha256 of `clone-forge demo --format json` stdout at default flags (no --seed)
-DEMO_SHA256 = "be975cd303d232deb38925da3c6a5b9b7b537300e2a1a7e6fca995aad435da7f"
+DEMO_SHA256 = PINS.PINNED[("--format", "json")]
 
 
 def corpus_clones():
@@ -284,3 +299,13 @@ def test_demo_on_one_cpu_matches_the_pinned_digest():
     )
     assert run.returncode == 0
     assert hashlib.sha256(run.stdout.encode()).hexdigest() == DEMO_SHA256
+
+
+def test_mutants_workload_matches_the_pinned_digest():
+    # the mutants workload's report goes through check_presentation and
+    # check_diagrams on every battery mutant and seeded s-bump
+    run = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "mutants.py"), "--seed", "0"], capture_output=True
+    )
+    assert run.returncode == 0
+    assert hashlib.sha256(run.stdout).hexdigest() == PINS.MUTANTS["0"]

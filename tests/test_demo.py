@@ -29,10 +29,6 @@ def nap_then(seconds, value):
     return value
 
 
-def started_at(value):
-    return value, time.monotonic()
-
-
 def out_of_range(stage):
     raise StageRangeError(stage)
 
@@ -54,22 +50,14 @@ def running(pid):
 
 def test_results_come_back_in_job_order_when_a_later_job_finishes_first(monkeypatch):
     monkeypatch.setattr(demo, "usable_cpus", lambda: 2)
-    jobs = [Job(0.0, nap_then, (1.0, "slow")), Job(0.0, nap_then, (0.0, "fast"))]
+    jobs = [Job(nap_then, (1.0, "slow")), Job(nap_then, (0.0, "fast"))]
     assert demo.run_jobs(jobs) == ["slow", "fast"]
-
-
-def test_one_worker_takes_the_longest_job_first(monkeypatch):
-    monkeypatch.setattr(demo, "usable_cpus", lambda: 1)
-    jobs = [Job(0.0, started_at, ("short",)), Job(5.0, started_at, ("long",))]
-    (short, short_start), (long, long_start) = demo.run_jobs(jobs)
-    assert (short, long) == ("short", "long")
-    assert long_start < short_start
 
 
 def test_a_job_that_raises_stage_range_error_makes_main_exit_2(monkeypatch, capsys):
     monkeypatch.setattr(demo, "usable_cpus", lambda: 2)
     monkeypatch.setattr(
-        demo, "demo_jobs", lambda settings: [Job(0.0, out_of_range, (9,)), Job(0.0, nap_then, (0.0, []))]
+        demo, "demo_jobs", lambda settings: [Job(out_of_range, (9,)), Job(nap_then, (0.0, []))]
     )
     assert main(["demo"]) == EXIT_INPUT
     assert capsys.readouterr().err == "error: stage 9 exceeds the stored bound\n"
@@ -80,7 +68,7 @@ def test_a_worker_that_dies_ends_the_command_with_an_error():
         "import os, sys\n"
         "from clone_forge import cli, demo\n"
         "demo.usable_cpus = lambda: 1\n"
-        "demo.demo_jobs = lambda settings: [demo.Job(0.0, os._exit, (3,))]\n"
+        "demo.demo_jobs = lambda settings: [demo.Job(os._exit, (3,))]\n"
         "sys.exit(cli.main(['demo']))\n"
     )
     env = {**os.environ, "PYTHONPATH": SRC}
@@ -100,7 +88,7 @@ def test_no_worker_outlives_a_killed_demo(tmp_path, sig):
         "from clone_forge import cli, demo\n"
         "from test_demo import pid_then_sleep\n"
         "demo.usable_cpus = lambda: 2\n"
-        f"job = demo.Job(0.0, pid_then_sleep, ({str(tmp_path)!r},))\n"
+        f"job = demo.Job(pid_then_sleep, ({str(tmp_path)!r},))\n"
         "demo.demo_jobs = lambda settings: [job, job]\n"
         "sys.exit(cli.main(['demo']))\n"
     )
@@ -143,7 +131,7 @@ def test_worker_count_is_the_usable_cpus_capped_at_the_jobs(monkeypatch, cpus, j
     monkeypatch.setattr(demo, "usable_cpus", lambda: cpus)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", record)
     with pytest.raises(NoPool):
-        demo.run_jobs([Job(0.0, nap_then, (0.0, i)) for i in range(jobs)])
+        demo.run_jobs([Job(nap_then, (0.0, i)) for i in range(jobs)])
     assert seen == [workers]
 
 

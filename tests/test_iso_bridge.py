@@ -14,11 +14,12 @@ from clone_forge.clone import (
     Signature,
     Var,
     builtin_clone,
+    clone_hom_check,
     clone_laws_check,
     free_mu,
     theory_laws_check,
 )
-from clone_forge.corpus import meet_semilattice
+from clone_forge.corpus import designed_mutants, meet_semilattice
 from clone_forge.fin_cat import FinMap, enumerate_maps
 from clone_forge.iso_bridge import (
     PhiContext,
@@ -31,7 +32,13 @@ from clone_forge.iso_bridge import (
     s_on_hom,
 )
 from clone_forge.presheaf_f import StageRangeError
-from clone_forge.subst_algebra import check_diagrams, check_presentation, truncate_algebra
+from clone_forge.subst_algebra import (
+    check_diagrams,
+    check_presentation,
+    hom_check,
+    truncate_algebra,
+)
+from test_witnesses import FirstSubstituend
 
 FREE = FreeClone(Signature({"b": 2}))
 FREE_CONST = FreeClone(Signature({"b": 2, "e": 0}))
@@ -243,6 +250,60 @@ def test_c_on_hom_into_fewer_stored_stages_lowers_the_arity_with_a_note():
         "incomplete: bound 3 lowered to 1: carrier C_2 substitutes through "
         "stage 4, beyond truncation bound 3"
     ]
+
+
+def identity_family(m, x):
+    return x
+
+
+def assert_same_checks(roundtrip, hom, law_map):
+    """roundtrip's checks are hom's, law for law through law_map, up to names."""
+    assert [c.law for c in roundtrip.checks if c.law in law_map] == list(law_map)
+    for law, hom_law in law_map.items():
+        got, want = roundtrip.check(law), hom.check(hom_law)
+        assert want.mode != "sampled", hom_law  # law-named sample seeds stay out
+        assert (got.passed, got.mode, got.instances) == (want.passed, want.mode, want.instances)
+        if want.counterexample is None:
+            assert got.counterexample is None
+        else:
+            assert {**got.counterexample, "law": hom_law} == want.counterexample
+
+
+ALGEBRA_AGREEMENTS = {
+    "act-agreement": "hom-naturality",
+    "subst-agreement": "hom-substitution",
+    "variable-agreement": "hom-variable",
+}
+
+
+@pytest.mark.parametrize(
+    "alg, failed",
+    [(STORED_INITIAL, []), (dict(designed_mutants())["unit"].algebra, ["act-agreement"])],
+    ids=["initial-table", "unit-breaker"],
+)
+def test_roundtrip_alg_is_hom_check_at_the_identity_family(alg, failed):
+    roundtrip = roundtrip_alg(alg, 2)
+    hom = hom_check(identity_family, s_functor(c_functor(alg)), alg, 2)
+    assert_same_checks(roundtrip, hom, ALGEBRA_AGREEMENTS)
+    assert roundtrip.failed_laws() == failed
+
+
+@pytest.mark.parametrize(
+    "clone, failed",
+    [
+        (builtin_clone("initial"), []),
+        (FiniteClone(meet_semilattice(), 3), []),
+        (FirstSubstituend(), ["mu-agreement"]),
+    ],
+    ids=["initial", "meet", "first-substituend"],
+)
+def test_roundtrip_clone_is_clone_hom_check_at_the_identity_family(clone, failed):
+    budget = Budget(max_arity=3)
+    roundtrip = roundtrip_clone(clone, budget)
+    hom = clone_hom_check(identity_family, c_functor(s_functor(clone, budget)), clone, budget)
+    law_map = {"iota-agreement": "iota-preservation", "mu-agreement": "mu-preservation"}
+    assert_same_checks(roundtrip, hom, law_map)
+    assert roundtrip.failed_laws() == failed
 
 
 def test_wrong_consumption_order_breaks_roundtrip():
