@@ -49,7 +49,6 @@ from .iso_bridge import (
 )
 from .presheaf_f import (
     DeltaPresheaf,
-    DeltaStructure,
     Presheaf,
     StageRangeError,
     Strengths,

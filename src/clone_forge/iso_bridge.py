@@ -17,7 +17,7 @@ from .checks import CheckPolicy, Report, check_law, stage_carriers
 from .clone import Budget, Clone, clone_hom_check, clone_hom_families
 from .fin_cat import FinMap
 from .presheaf_f import Presheaf, StageRangeError, TruncatedPresheaf
-from .subst_algebra import SubstAlgebra, hom_check, hom_families
+from .subst_algebra import SubstAlgebra, hom_check, hom_families, renamed_variable
 
 
 class CloneActionPresheaf(Presheaf):
@@ -139,7 +139,7 @@ class AlgebraClone(Clone):
     def iota(self, m, i):
         if not 0 <= i < m:
             raise ValueError(f"projection index {i} outside arity {m}")
-        return self.algebra.base.act(FinMap(1, m, (i,)), self.algebra.v_at(0))
+        return renamed_variable(self.algebra, m, i)
 
     def mu(self, m, n, t, us):
         us = tuple(us)

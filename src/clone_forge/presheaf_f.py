@@ -10,7 +10,7 @@ stage by stage so the laws can be decided on concrete elements.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from functools import lru_cache, partial
 
 from .checks import (
@@ -195,27 +195,6 @@ def insert_map(m: int) -> FinMap:
 @lru_cache(maxsize=None)
 def swap_map(m: int) -> FinMap:
     return coproduct(identity(m), generators().s)
-
-
-@dataclass
-class DeltaStructure:
-    """The monad structure maps of the shift, one stage at a time.
-
-    Each map is the action of the corresponding generating map placed beside
-    an identity block: exactly mu = act(id_m + c), eta = act(id_m + w),
-    swap = act(id_m + s).
-    """
-
-    presheaf: Presheaf
-
-    def mu_at(self, m: int, x):
-        return self.presheaf.act(merge_map(m), x)
-
-    def eta_at(self, m: int, x):
-        return self.presheaf.act(insert_map(m), x)
-
-    def swap_at(self, m: int, x):
-        return self.presheaf.act(swap_map(m), x)
 
 
 class Strengths:
@@ -444,39 +423,39 @@ def check_delta_laws(
         monoid_diagrams_pointwise(P, g.c, g.w, g.s, bound, policy, C)
     )
 
+    # the shift's mu, eta and swap at stage m act by merge_map(m),
+    # insert_map(m) and swap_map(m), on P, on P x P and on the pointed shift
     PP = ProductPresheaf(P, P)
-    dsP = DeltaStructure(P)
-    dsPP = DeltaStructure(PP)
+    B = bullet_presheaf(P)
     st = Strengths(P, P)
     st_shift = Strengths(DeltaPresheaf(P), P)
-    dsB = DeltaStructure(bullet_presheaf(P))
     st_shift_pair = Strengths(DeltaPresheaf(P), DeltaPresheaf(P))
 
     def strength_mu(m, a, y):
         t = st.right_at(m + 1, *st_shift.right_at(m, a, y))
-        return dsPP.mu_at(m, t), st.right_at(m, dsP.mu_at(m, a), y)
+        return PP.act(merge_map(m), t), st.right_at(m, P.act(merge_map(m), a), y)
 
     def strength_eta(m, x, y):
-        return st.right_at(m, dsP.eta_at(m, x), y), dsPP.eta_at(m, (x, y))
+        return st.right_at(m, P.act(insert_map(m), x), y), PP.act(insert_map(m), (x, y))
 
     def strength_swap(m, a, y):
-        lhs = dsPP.swap_at(m, st.right_at(m + 1, *st_shift.right_at(m, a, y)))
-        u = st_shift.right_at(m, dsP.swap_at(m, a), y)
+        lhs = PP.act(swap_map(m), st.right_at(m + 1, *st_shift.right_at(m, a, y)))
+        u = st_shift.right_at(m, P.act(swap_map(m), a), y)
         return lhs, st.right_at(m + 1, *u)
 
     def dist_mu(m, a, b):
         t = st_shift_pair.dist_at(m, *st.dist_at(m + 1, a, b))
-        lhs = (dsP.mu_at(m + 1, t[0]), dsP.mu_at(m, t[1]))
-        return lhs, st.dist_at(m, *dsB.mu_at(m, (a, b)))
+        lhs = (P.act(merge_map(m + 1), t[0]), P.act(merge_map(m), t[1]))
+        return lhs, st.dist_at(m, *B.act(merge_map(m), (a, b)))
 
     def dist_eta(m, x1, x0):
-        lhs = st.dist_at(m, *dsB.eta_at(m, (x1, x0)))
-        return lhs, (dsP.eta_at(m + 1, x1), dsP.eta_at(m, x0))
+        lhs = st.dist_at(m, *B.act(insert_map(m), (x1, x0)))
+        return lhs, (P.act(insert_map(m + 1), x1), P.act(insert_map(m), x0))
 
     def dist_swap(m, a, b):
         t = st_shift_pair.dist_at(m, *st.dist_at(m + 1, a, b))
-        lhs = (dsP.swap_at(m + 1, t[0]), dsP.swap_at(m, t[1]))
-        u = st.dist_at(m + 1, *dsB.swap_at(m, (a, b)))
+        lhs = (P.act(swap_map(m + 1), t[0]), P.act(swap_map(m), t[1]))
+        u = st.dist_at(m + 1, *B.act(swap_map(m), (a, b)))
         return lhs, st_shift_pair.dist_at(m, *u)
 
     def ell_roundtrip(m, pair):

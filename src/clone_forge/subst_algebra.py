@@ -4,7 +4,9 @@ An algebra carries, per stage m, a substitution map s_m from stage (m+1)
 paired with stage m back into stage m, and a generic variable v_m at stage
 m+1.  Two checkers decide the laws: one runs the seven-family equational
 presentation, the other the diagram presentation compiled to its stage-wise
-components; a documented mapping links the two for verdict comparison.
+components.  Four diagrams are equation families read at v_m instead of at
+v_0 renamed into stage m+1, built once by substitution_families; LAW_MAPPING
+pairs their names, and only the eval diagram is the diagrams' own.
 A third checker, v-naturality, decides whether both read the same variable.
 """
 
@@ -14,12 +16,9 @@ import itertools
 from functools import partial
 
 from .checks import CheckPolicy, Report, check_law, stage_carriers
-from .fin_cat import FinMap, enumerate_maps, new, shifted
+from .fin_cat import FinMap, enumerate_maps, old, shifted
 from .presheaf_f import (
-    DeltaPresheaf,
-    DeltaStructure,
     Presheaf,
-    Strengths,
     TruncatedPresheaf,
     check_composition,
     identity_families,
@@ -29,10 +28,11 @@ from .presheaf_f import (
     truncate_presheaf,
 )
 
-# Law-for-law correspondence between the two presentations.  The remaining
-# equation families (act-compose, act-identity, naturality) state that the
-# structure consists of presheaf maps and have no diagram counterpart; the
-# eval diagram is the one diagram without an equation counterpart.
+# The families the two presentations share, by their names in each.  The
+# remaining equation families (act-compose, act-identity, naturality) state
+# that the structure consists of presheaf maps and have no diagram
+# counterpart; the eval diagram is the one diagram without an equation
+# counterpart.
 LAW_MAPPING = {
     "unit": "left-unit-diagram",
     "contraction": "contraction-diagram",
@@ -166,6 +166,56 @@ def truncate_algebra(alg: SubstAlgebra, bound: int, name: str | None = None) -> 
     )
 
 
+def renamed_variable(alg: SubstAlgebra, m: int, i: int):
+    """v_0 renamed along the map 1 -> m that picks i: the i-th variable at stage m."""
+    return alg.base.act(FinMap(1, m, (i,)), alg.v_at(0))
+
+
+def substitution_families(alg: SubstAlgebra, A: dict[int, list], variables) -> dict:
+    """The unit, contraction, weakening and associativity families as {law: families}.
+
+    On the carriers A, whose top stage is the bound; variables[m] is the
+    stage-(m+1) variable that unit and contraction read at stage m.  The
+    equations read v_0 renamed into stage m+1, the diagrams read v_m.
+    """
+    bound = len(A) - 1
+    act = alg.base.act
+    s_at = alg.s_at
+
+    def unit(m, vm, x):
+        return s_at(m, vm, x), x
+
+    def contraction(m, vm, merge, x):
+        return s_at(m + 1, x, vm), act(merge, x)
+
+    def weakening(m, pad, x, y):
+        return s_at(m, act(pad, x), y), x
+
+    def associativity(m, swap, pad, x, y, z):
+        lhs = s_at(m, s_at(m + 1, x, y), z)
+        return lhs, s_at(m, s_at(m + 1, act(swap, x), act(pad, z)), s_at(m, y, z))
+
+    lower = range(max(bound - 1, 0))  # stages m with m + 2 <= bound
+    return {
+        "unit": (
+            (f"m={m}", (m,), [A[m]], partial(unit, m, variables[m])) for m in range(bound)
+        ),
+        "contraction": (
+            (f"m={m}", (m,), [A[m + 2]], partial(contraction, m, variables[m], merge_map(m)))
+            for m in lower
+        ),
+        "weakening": (
+            (f"m={m}", (m,), [A[m], A[m]], partial(weakening, m, insert_map(m)))
+            for m in range(bound)
+        ),
+        "associativity": (
+            (f"m={m}", (m,), [A[m + 2], A[m + 1], A[m]],
+             partial(associativity, m, swap_map(m), insert_map(m)))
+            for m in lower
+        ),
+    }
+
+
 def check_presentation(
     alg: SubstAlgebra, bound: int = 3, policy: CheckPolicy | None = None
 ) -> Report:
@@ -181,24 +231,11 @@ def check_presentation(
     bound = len(A) - 1
     act = alg.base.act
     s_at = alg.s_at
-    nu = alg.v_at(0)
-    nus = {m: act(new(m), nu) for m in range(bound)}  # nu renamed into stage m+1
+    # v_0 renamed into stage m+1, the variable the equations read at stage m
+    nus = {m: renamed_variable(alg, m + 1, m) for m in range(bound)}
 
     def naturality(m, n, f, x, y):
         return act(f, s_at(m, x, y)), s_at(n, act(shifted(f), x), act(f, y))
-
-    def unit(m, vm, x):
-        return s_at(m, vm, x), x
-
-    def contraction(m, vm, merge, x):
-        return s_at(m + 1, x, vm), act(merge, x)
-
-    def weakening(m, pad, x, y):
-        return s_at(m, act(pad, x), y), x
-
-    def associativity(m, swap, pad, x, y, z):
-        lhs = s_at(m, s_at(m + 1, x, y), z)
-        return lhs, s_at(m, s_at(m + 1, act(swap, x), act(pad, z)), s_at(m, y, z))
 
     report.checks.append(check_composition(alg.base, "act-compose", A, policy))
     identities = identity_families(alg.base, A)
@@ -207,22 +244,10 @@ def check_presentation(
         (f"{m}->{n}", (), [enumerate_maps(m, n), A[m + 1], A[m]], partial(naturality, m, n))
         for m, n in itertools.product(range(bound), repeat=2)
     )))
-    report.checks.append(check_law("unit", policy, "m x lhs", (
-        (f"m={m}", (m,), [A[m]], partial(unit, m, nus[m])) for m in range(bound)
-    )))
-    report.checks.append(check_law("contraction", policy, "m x lhs rhs", (
-        (f"m={m}", (m,), [A[m + 2]], partial(contraction, m, nus[m], merge_map(m)))
-        for m in range(max(bound - 1, 0))
-    )))
-    report.checks.append(check_law("weakening", policy, "m x y lhs", (
-        (f"m={m}", (m,), [A[m], A[m]], partial(weakening, m, insert_map(m)))
-        for m in range(bound)
-    )))
-    report.checks.append(check_law("associativity", policy, "m x y z lhs rhs", (
-        (f"m={m}", (m,), [A[m + 2], A[m + 1], A[m]],
-         partial(associativity, m, swap_map(m), insert_map(m)))
-        for m in range(max(bound - 1, 0))
-    )))
+    laws = substitution_families(alg, A, nus)
+    for law, names in (("unit", "m x lhs"), ("contraction", "m x lhs rhs"),
+                       ("weakening", "m x y lhs"), ("associativity", "m x y z lhs rhs")):
+        report.checks.append(check_law(law, policy, names, laws[law]))
     return report
 
 
@@ -239,53 +264,32 @@ def check_diagrams(
       assoc-diagram        s_m(s_{m+1}(x, y), z) =
                            s_m(s_{m+1}(act(id_m + swap, x), act(id_m + insert, z)),
                                s_m(y, z))
-    The last two legs are evaluated through the concrete strength and
-    distributive-law maps rather than by inlining the right-hand formulas.
+    Every diagram but eval is an equation family read at v_m where the
+    equations read v_0 renamed into stage m+1 (substitution_families), so on
+    a v-natural algebra the four are the equations' checks under the names
+    of LAW_MAPPING.
     """
     policy = policy or CheckPolicy()
     report = Report()
     A = stage_carriers(alg.base.set, bound, report)
     bound = len(A) - 1
     s_at = alg.s_at
-    ds = DeltaStructure(alg.base)
-    st = Strengths(alg.base, alg.base)
-    st_shift = Strengths(DeltaPresheaf(alg.base), alg.base)
+    variables = {m: alg.v_at(m) for m in range(bound)}
+    laws = substitution_families(alg, A, variables)
 
-    def left_unit(m, vm, a):
-        return s_at(m, vm, a), a
+    def evaluation(m, weaken, vm, t):
+        return s_at(m + 1, alg.base.act(weaken, t), vm), t
 
-    def contraction(m, vm, x):
-        return s_at(m + 1, x, vm), ds.mu_at(m, x)
-
-    def evaluation(m, vm, t):
-        return s_at(m + 1, *st_shift.left_at(m, t, vm)), t
-
-    def weakening(m, x, y):
-        return s_at(m, ds.eta_at(m, x), y), x
-
-    def associativity(m, x, y, z):
-        lhs = s_at(m, s_at(m + 1, x, y), z)
-        swapped, kept = st.dist_at(m, x, y)
-        a1, a2, a3, a4 = st_shift.bullet_at(m, swapped, kept, z)
-        return lhs, s_at(m, s_at(m + 1, a1, a2), s_at(m, a3, a4))
-
-    lower = range(max(bound - 1, 0))  # stages m with m + 2 <= bound
-    report.checks.append(check_law("left-unit-diagram", policy, "m a lhs", (
-        (f"m={m}", (m,), [A[m]], partial(left_unit, m, alg.v_at(m))) for m in range(bound)
-    )))
-    report.checks.append(check_law("contraction-diagram", policy, "m x lhs rhs", (
-        (f"m={m}", (m,), [A[m + 2]], partial(contraction, m, alg.v_at(m))) for m in lower
-    )))
-    report.checks.append(check_law("eval-diagram", policy, "m t lhs", (
-        (f"m={m}", (m,), [A[m + 1]], partial(evaluation, m, alg.v_at(m))) for m in lower
-    )))
-    report.checks.append(check_law("weakening-diagram", policy, "m x y lhs", (
-        (f"m={m}", (m,), [A[m], A[m]], partial(weakening, m)) for m in range(bound)
-    )))
-    report.checks.append(check_law("assoc-diagram", policy, "m x y z lhs rhs", (
-        (f"m={m}", (m,), [A[m + 2], A[m + 1], A[m]], partial(associativity, m))
-        for m in lower
-    )))
+    report.checks += [
+        check_law("left-unit-diagram", policy, "m a lhs", laws["unit"]),
+        check_law("contraction-diagram", policy, "m x lhs rhs", laws["contraction"]),
+        check_law("eval-diagram", policy, "m t lhs", (
+            (f"m={m}", (m,), [A[m + 1]], partial(evaluation, m, shifted(old(m)), variables[m]))
+            for m in range(max(bound - 1, 0))
+        )),
+        check_law("weakening-diagram", policy, "m x y lhs", laws["weakening"]),
+        check_law("assoc-diagram", policy, "m x y z lhs rhs", laws["associativity"]),
+    ]
     return report
 
 
@@ -374,8 +378,4 @@ def variable_family(dst: SubstAlgebra):
     This is exactly the image of the unique clone morphism out of the initial
     clone; it is a homomorphism into any lawful algebra.
     """
-
-    def h(m, i):
-        return dst.base.act(FinMap(1, m, (i,)), dst.v_at(0))
-
-    return h
+    return partial(renamed_variable, dst)

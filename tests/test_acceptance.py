@@ -301,6 +301,23 @@ def test_demo_on_one_cpu_matches_the_pinned_digest():
     assert hashlib.sha256(run.stdout.encode()).hexdigest() == DEMO_SHA256
 
 
+def test_tables_workload_matches_the_pinned_digests(tmp_path):
+    # the six tables commands, run as scripts/check_digests.py runs them;
+    # check-subst goes through check_presentation and check_diagrams on the
+    # stored tables that to-subst writes
+    (tmp_path / "meet-algebra.json").write_text(json.dumps(PINS.MEET_ALGEBRA) + "\n")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    for (command, name), want in PINS.TABLES.items():
+        run = subprocess.run(
+            [sys.executable, *PINS.table_args(command, name)],
+            cwd=tmp_path, env=env, capture_output=True,
+        )
+        assert run.returncode == 0, (command, name, run.stderr)
+        assert hashlib.sha256(run.stdout).hexdigest() == want, (command, name)
+    for name, want in PINS.TABLE_FILES.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == want, name
+
+
 def test_mutants_workload_matches_the_pinned_digest():
     # the mutants workload's report goes through check_presentation and
     # check_diagrams on every battery mutant and seeded s-bump

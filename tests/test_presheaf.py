@@ -29,7 +29,6 @@ from clone_forge.iso_bridge import s_functor
 from clone_forge.presheaf_f import (
     COMPOSITION_LAWS,
     DeltaPresheaf,
-    DeltaStructure,
     Presheaf,
     ProductPresheaf,
     StageRangeError,
@@ -43,8 +42,11 @@ from clone_forge.presheaf_f import (
     compose_families,
     ell,
     ell_inverse,
+    insert_map,
+    merge_map,
     monoid_diagrams_pointwise,
     representable_V,
+    swap_map,
     truncate_presheaf,
 )
 from clone_forge.subst_algebra import check_presentation, truncate_algebra
@@ -376,13 +378,14 @@ def test_delta_shifts_stages():
 
 
 def test_delta_structure_concrete_tables():
+    # the shift's mu, swap and eta at stage m act by merge_map(m), swap_map(m)
+    # and insert_map(m)
     V = representable_V()
-    ds = DeltaStructure(V)
     # at stage 0 the merge map sends both points of V(2) to the point of V(1)
-    assert [ds.mu_at(0, x) for x in V.set(2)] == [0, 0]
+    assert [V.act(merge_map(0), x) for x in V.set(2)] == [0, 0]
     # the swap exchanges the two points of V(2)
-    assert [ds.swap_at(0, x) for x in V.set(2)] == [1, 0]
-    assert ds.eta_at(2, 1) == 1
+    assert [V.act(swap_map(0), x) for x in V.set(2)] == [1, 0]
+    assert V.act(insert_map(2), 1) == 1
 
 
 def test_delta_lowers_truncation_bound():

@@ -2,7 +2,9 @@
 
 import pytest
 
-from clone_forge.checks import CheckPolicy
+from dataclasses import replace
+
+from clone_forge.checks import CheckPolicy, Report, check_law, stage_carriers
 from clone_forge.clone import Budget, FreeClone, Signature, builtin_clone
 from clone_forge.corpus import (
     ForgetfulAlgebra,
@@ -21,6 +23,7 @@ from clone_forge.subst_algebra import (
     check_presentation,
     check_v_naturality,
     hom_check,
+    substitution_families,
     truncate_algebra,
     variable_family,
 )
@@ -153,6 +156,48 @@ def test_gated_equivalence_on_lawful_structures():
         diag = check_diagrams(alg, 3)
         for eq_law, diagram_law in LAW_MAPPING.items():
             assert pres.check(eq_law).passed == diag.check(diagram_law).passed, name
+
+
+# the witness names of each shared family in the diagram presentation
+DIAGRAM_NAMES = {
+    "unit": "m a lhs",
+    "contraction": "m x lhs rhs",
+    "weakening": "m x y lhs",
+    "associativity": "m x y z lhs rhs",
+}
+
+
+def as_equation(check, law):
+    """A diagram's LawCheck under the equation's name, its witness's a named x."""
+    witness = check.counterexample
+    if witness is not None:
+        witness = {("x" if k == "a" else k): v for k, v in witness.items()} | {"law": law}
+    return replace(check, law=law, counterexample=witness)
+
+
+def test_the_shared_diagrams_are_the_equations_read_at_each_v_m():
+    policy = CheckPolicy()
+    cases = [(name, alg, 3) for name, alg in standard_algebras().items()]
+    cases += [(m.name, m.algebra, 4) for m in mutant_battery()]
+    natural = []
+    for name, alg, bound in cases:
+        diag = check_diagrams(alg, bound, policy)
+        A = stage_carriers(alg.base.set, bound, Report())
+        laws = substitution_families(alg, A, {m: alg.v_at(m) for m in range(len(A) - 1)})
+        for law, diagram in LAW_MAPPING.items():
+            built = check_law(diagram, policy, DIAGRAM_NAMES[law], laws[law])
+            assert diag.check(diagram) == built, (name, diagram)
+        if not check_v_naturality(alg, bound, policy).passed:
+            continue
+        natural.append(name)
+        pres = check_presentation(alg, bound, policy)
+        for law, diagram in LAW_MAPPING.items():
+            assert as_equation(diag.check(diagram), law) == pres.check(law), (name, diagram)
+    # the one algebra whose v is not natural fails diagrams the equations pass
+    assert [name for name, _, _ in cases if name not in natural] == ["initial/v[2]-bump"]
+    bump = next(alg for name, alg, _ in cases if name == "initial/v[2]-bump")
+    assert check_presentation(bump, 4, policy).passed
+    assert not check_diagrams(bump, 4, policy).check("left-unit-diagram").passed
 
 
 def test_eval_diagram_is_contraction_at_weakened_input():
