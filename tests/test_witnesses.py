@@ -104,7 +104,14 @@ def reports() -> dict:
         out[f"{key}:v-naturality"] = check_v_naturality(alg, BOUND, policy)
         out[f"{key}:hom"] = hom_check(variable_family(alg), initial, alg, BOUND, policy)
         out[f"{key}:roundtrip-alg"] = roundtrip_alg(alg, 2, policy=policy)
-    for label, bad in (("merge", merge_map(1)), ("insert", insert_map(1)), ("swap", swap_map(1))):
+    twists = (
+        ("merge", merge_map(1)),
+        ("insert", insert_map(1)),
+        ("swap", swap_map(1)),
+        ("merge-2", merge_map(2)),
+        ("swap-2", swap_map(2)),
+    )
+    for label, bad in twists:
         out[f"twisted-{label}:delta-laws"] = check_delta_laws(TwistedV(bad), BOUND, policy)
 
     broken = FirstSubstituend()
