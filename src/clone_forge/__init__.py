@@ -51,7 +51,6 @@ from .presheaf_f import (
     DeltaPresheaf,
     Presheaf,
     StageRangeError,
-    Strengths,
     TruncatedPresheaf,
     check_delta_laws,
     check_functoriality,

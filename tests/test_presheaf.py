@@ -32,20 +32,18 @@ from clone_forge.presheaf_f import (
     Presheaf,
     ProductPresheaf,
     StageRangeError,
-    Strengths,
-    TerminalPresheaf,
     TruncatedPresheaf,
-    bullet_presheaf,
     check_composition,
     check_delta_laws,
     check_functoriality,
+    component_sides,
     compose_families,
-    ell,
-    ell_inverse,
     insert_map,
     merge_map,
     monoid_diagrams_pointwise,
+    naturality_tables,
     representable_V,
+    strength_table,
     swap_map,
     truncate_presheaf,
 )
@@ -398,15 +396,19 @@ def test_delta_lowers_truncation_bound():
 
 def test_strengths_concrete_values():
     V = representable_V()
-    st_ = Strengths(V, V)
+
+    def strength(law, m, *xs):
+        table = strength_table(law, m)
+        return component_sides(V.act, table, table, *xs)[0]
+
     # old(1) fixes the point 0
-    assert st_.right_at(1, 1, 0) == (1, 0)
-    assert st_.left_at(1, 0, 1) == (0, 1)
+    assert strength("strength-naturality", 1, 1, 0) == (1, 0)
+    assert strength("left-strength-naturality", 1, 0, 1) == (0, 1)
     # the distributive law swaps the two top points of V(2), keeps the rest
-    assert st_.dist_at(0, 0, 0) == (1, 0)
-    assert st_.dist_at(0, 1, 0) == (0, 0)
+    assert strength("dist-naturality", 0, 0, 0) == (1, 0)
+    assert strength("dist-naturality", 0, 1, 0) == (0, 0)
     # bullet strength duplicates the plain element
-    assert st_.bullet_at(1, 1, 0, 0) == (1, 0, 0, 0)
+    assert strength("bullet-strength-naturality", 1, 1, 0, 0) == (1, 0, 0, 0)
 
 
 def test_delta_laws_V_and_S_initial():
@@ -448,48 +450,31 @@ def test_monoid_reduction_verdicts_agree_with_table_checker():
             assert check.passed == table_report.check(law).passed
 
 
-def test_delta_preserves_products_and_terminal():
+def test_delta_preserves_products():
     V = representable_V()
     P = ProductPresheaf(V, V)
     for m in range(3):
         assert DeltaPresheaf(P).set(m) == ProductPresheaf(
             DeltaPresheaf(V), DeltaPresheaf(V)
         ).set(m)
-    one = TerminalPresheaf()
-    for m in range(3):
-        assert DeltaPresheaf(one).set(m) == one.set(m)
-
-
-def test_ell_roundtrip_is_identity():
-    V = representable_V()
-    P = ProductPresheaf(V, V)
-    for m in range(3):
-        for pair in P.set(m + 1):
-            assert ell_inverse(m, ell(m, pair)) == pair
-
-
-def test_bullet_presheaf_action():
-    V = representable_V()
-    B = bullet_presheaf(V)
-    assert B.set(1) == [(a, b) for a in range(2) for b in range(1)]
-    f = FinMap(1, 2, (1,))
-    # first component moves along f + id_1 with table (1, 2), second along f
-    assert B.act(f, (0, 0)) == (1, 1)
-    assert B.act(f, (1, 0)) == (2, 1)
 
 
 @given(st.integers(0, 3), st.integers(0, 3))
 def test_strength_naturality_random_map(m, n):
+    # the right strength (a, y) -> (a, act(old, y)) commutes with f: the
+    # tables' sides are the strength at n after f, and f on V x V after the
+    # strength at m
     V = representable_V()
-    st_ = Strengths(V, V)
     PP = ProductPresheaf(V, V)
     from clone_forge.fin_cat import shifted
 
     for f in enumerate_maps(m, n):
+        tables = naturality_tables("strength-naturality", (1, 0), (1, 1), f)
         for a in V.set(m + 1):
             for y in V.set(m):
-                lhs = st_.right_at(n, V.act(shifted(f), a), V.act(f, y))
-                rhs = PP.act(shifted(f), st_.right_at(m, a, y))
+                lhs = (V.act(shifted(f), a), V.act(old(n), V.act(f, y)))
+                rhs = PP.act(shifted(f), (a, V.act(old(m), y)))
+                assert component_sides(V.act, *tables, a, y) == (lhs, rhs)
                 assert lhs == rhs
 
 

@@ -168,6 +168,17 @@ def test_witnesses_match_fixture():
         assert json.dumps(got[key]) == json.dumps(want[key]), key
 
 
+def test_every_delta_law_fails_in_some_entry_but_the_two_that_cannot():
+    # reads the fixture only; strength-eta's sides are one table, since
+    # insert_map(m) is old(m), and ell-roundtrip compares a pair with itself
+    fixture = json.loads(FIXTURE.read_text())
+    entries = [v for k, v in fixture.items() if k.endswith(":delta-laws")]
+    laws = {c["law"] for e in entries for c in e["checks"]}
+    failing = {c["law"] for e in entries for c in e["checks"] if not c["passed"]}
+    assert len(laws) == 19
+    assert laws - failing == {"strength-eta", "ell-roundtrip"}
+
+
 if __name__ == "__main__":
     FIXTURE.parent.mkdir(exist_ok=True)
     FIXTURE.write_text(json.dumps(payload(), indent=1) + "\n")
