@@ -193,7 +193,7 @@ def cmd_roundtrip(config: RunConfig):
     budget, policy = _budget(config), _policy(config)
     sections = [("roundtrip-clone", roundtrip_clone(clone, budget, policy))]
     sections.append(
-        ("roundtrip-algebra", roundtrip_alg(s_functor(clone, budget), config.bound, budget, policy))
+        ("roundtrip-algebra", roundtrip_alg(s_functor(clone, budget), config.bound, policy))
     )
     return sections
 

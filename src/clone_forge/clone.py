@@ -106,7 +106,7 @@ class Signature:
         for name, arity in operators.items():
             if not name or not isinstance(name, str):
                 raise ValueError(f"bad operator name {name!r}")
-            if not isinstance(arity, int) or arity < 0:
+            if type(arity) is not int or arity < 0:
                 raise ValueError(f"bad arity {arity!r} for operator {name!r}")
         self.operators = dict(sorted(operators.items()))
 
@@ -533,7 +533,7 @@ def theory_laws_check(
     compose_fn=None,
 ) -> Report:
     """Associativity and identity laws of theory composition up to bound."""
-    budget = budget or Budget(max_arity=bound)
+    budget = budget or Budget()
     policy = policy or CheckPolicy()
     comp = compose_fn or theory_compose
     report = Report()

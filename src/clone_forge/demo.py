@@ -121,7 +121,7 @@ def tail_job(settings: Settings):
     bound = settings.bound
     s_initial = s_functor(clones["initial"], budget)
     sections = [
-        ("roundtrip-algebra:S(initial)", roundtrip_alg(s_initial, bound, budget, policy))
+        ("roundtrip-algebra:S(initial)", roundtrip_alg(s_initial, bound, policy))
     ]
     for target in ("meet", "terminal"):
         algebra = s_functor(clones[target], budget)

@@ -15,7 +15,7 @@ from pathlib import Path
 from .checks import CheckPolicy
 from .clone import FiniteAlgebra, Signature
 from .fin_cat import FinMap, enumerate_maps
-from .presheaf_f import TruncatedPresheaf
+from .presheaf_f import TruncatedPresheaf, check_functoriality
 from .subst_algebra import TableSubstAlgebra
 
 
@@ -96,8 +96,6 @@ def _table_key(f: FinMap) -> str:
 
 
 def _check_presheaf_functorial(P: TruncatedPresheaf, label: str) -> None:
-    from .presheaf_f import check_functoriality
-
     report = check_functoriality(
         P, P.bound, CheckPolicy(exhaustive_threshold=10_000_000)
     )
@@ -119,7 +117,7 @@ def _parse_truncated_presheaf(data, label: str) -> TruncatedPresheaf:
         f"{label}: 'carriers' must list stages 0..{bound}",
     )
     _expect(all(_is_int(s) and s >= 0 for s in sizes), f"{label}: bad carrier size")
-    actions: dict[tuple[int, int], dict[tuple[int, ...], tuple[int, ...]]] = {}
+    actions: dict[FinMap, tuple[int, ...]] = {}
     raw_actions = data["actions"]
     _expect(isinstance(raw_actions, dict), f"{label}: 'actions' must be an object")
     for m in range(bound + 1):
@@ -128,7 +126,6 @@ def _parse_truncated_presheaf(data, label: str) -> TruncatedPresheaf:
             block = raw_actions.get(key)
             _expect(block is not None, f"{label}: missing action block {key!r}")
             _expect(isinstance(block, dict), f"{label}: action block {key!r} must be an object")
-            tables = {}
             for f in enumerate_maps(m, n):
                 raw = block.get(_table_key(f))
                 _expect(
@@ -143,10 +140,9 @@ def _parse_truncated_presheaf(data, label: str) -> TruncatedPresheaf:
                     all(_is_int(v) and 0 <= v < sizes[n] for v in raw),
                     f"{label}: table for {key!r}/{_table_key(f)!r} escapes the carrier",
                 )
-                tables[f.table] = tuple(raw)
+                actions[f] = tuple(raw)
             extra = set(block) - {_table_key(f) for f in enumerate_maps(m, n)}
             _expect(not extra, f"{label}: block {key!r} has unknown maps {sorted(extra)}")
-            actions[(m, n)] = tables
     P = TruncatedPresheaf(bound, sizes, actions)
     _check_presheaf_functorial(P, label)
     return P
@@ -157,13 +153,11 @@ def load_truncated_presheaf(path) -> TruncatedPresheaf:
 
 
 def presheaf_payload(P: TruncatedPresheaf) -> dict:
-    actions = {}
-    for m in range(P.bound + 1):
-        for n in range(P.bound + 1):
-            actions[f"{m}->{n}"] = {
-                _table_key(f): list(P.actions[(m, n)][f.table])
-                for f in enumerate_maps(m, n)
-            }
+    actions = {
+        f"{m}->{n}": {_table_key(f): list(P.actions[f]) for f in enumerate_maps(m, n)}
+        for m in range(P.bound + 1)
+        for n in range(P.bound + 1)
+    }
     return {"bound": P.bound, "carriers": list(P.carrier_sizes), "actions": actions}
 
 

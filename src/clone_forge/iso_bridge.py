@@ -233,7 +233,6 @@ def roundtrip_clone(
 def roundtrip_alg(
     algebra: SubstAlgebra,
     bound: int = 3,
-    budget: Budget | None = None,
     policy: CheckPolicy | None = None,
 ) -> Report:
     """Translate an algebra to a clone and back; demand equality on the nose.
@@ -243,9 +242,8 @@ def roundtrip_alg(
     it lacks lowers the bound, with a note; on a stored algebra that is the
     first C_n whose stage 2n is not stored.
     """
-    budget = budget or Budget()
     policy = policy or CheckPolicy()
-    back = s_functor(c_functor(algebra), budget)
+    back = s_functor(c_functor(algebra))
     report = Report()
     laws = hom_families(_identity, back, algebra, stage_carriers(back.base.set, bound, report))
     report.checks.append(check_law("act-agreement", policy, *laws["hom-naturality"]))

@@ -82,8 +82,10 @@ def representable_V() -> RepresentableV:
 class TruncatedPresheaf(Presheaf):
     """A presheaf fragment stored as index tables up to a stage bound.
 
-    The tables never change after construction: a presheaf with another
-    entry is a new presheaf with copied tables, as
+    actions holds one row per map f between stages 0..bound, keyed by the
+    interned FinMap: entry i of actions[f] is the index of act(f, i).  The
+    rows never change after construction: a presheaf with another entry is
+    a new presheaf whose actions share every other row, as
     ``TableSubstAlgebra.with_act_entry`` builds it.  So the composition law
     is a property of the object, and ``check_composition`` keeps its
     verdicts in ``composition_checks``.
@@ -93,7 +95,7 @@ class TruncatedPresheaf(Presheaf):
         self,
         bound: int,
         carrier_sizes: list[int],
-        actions: dict[tuple[int, int], dict[tuple[int, ...], tuple[int, ...]]],
+        actions: dict[FinMap, tuple[int, ...]],
         name: str = "truncated",
     ):
         if bound < 0 or len(carrier_sizes) != bound + 1:
@@ -119,27 +121,29 @@ class TruncatedPresheaf(Presheaf):
                 max(f.dom, f.cod),
                 f"map {f} beyond truncation bound {self.bound}",
             )
-        return self.actions[(f.dom, f.cod)][f.table]
+        return self.actions[f]
 
 
 def truncate_presheaf(P: Presheaf, bound: int, name: str | None = None) -> TruncatedPresheaf:
     """Store P's fragment up to bound as index tables."""
     carriers = [list(P.set(m)) for m in range(bound + 1)]
     index = [{e: i for i, e in enumerate(c)} for c in carriers]
-    actions: dict[tuple[int, int], dict[tuple[int, ...], tuple[int, ...]]] = {}
-    for m in range(bound + 1):
-        for n in range(bound + 1):
-            tables = {}
-            for f in enumerate_maps(m, n):
-                tables[f.table] = tuple(index[n][P.act(f, e)] for e in carriers[m])
-            actions[(m, n)] = tables
+    actions = {
+        f: tuple(index[n][P.act(f, e)] for e in carriers[m])
+        for m, n in itertools.product(range(bound + 1), repeat=2)
+        for f in enumerate_maps(m, n)
+    }
     return TruncatedPresheaf(
         bound, [len(c) for c in carriers], actions, name or f"trunc({P.name})"
     )
 
 
 class ProductPresheaf(Presheaf):
-    """Pairs of stages with the componentwise action."""
+    """Pairs of stages with the componentwise action.
+
+    check_delta_laws reads products through per-component tables instead;
+    this is the reference its component tables are tested against.
+    """
 
     def __init__(self, P: Presheaf, Q: Presheaf):
         self.P = P
@@ -154,7 +158,11 @@ class ProductPresheaf(Presheaf):
 
 
 class DeltaPresheaf(Presheaf):
-    """The shift of a presheaf: stage m is the base at stage m+1."""
+    """The shift of a presheaf: stage m is the base at stage m+1.
+
+    check_delta_laws reads the shift through shifted(f) instead; this is
+    the reference its shifted actions are tested against.
+    """
 
     def __init__(self, P: Presheaf):
         self.P = P
@@ -197,14 +205,16 @@ def stored_compose_sides(
     """compose_sides for maps l -> m -> n of stored tables, with blocks for a sweep.
 
     sides(first, second, x) is compose_sides on P.act, read from the index
-    tables without building the composite map.  sides(first) returns
+    tables without building the composite map: the composite rows are
+    indexed by their maps' tables once per family.  sides(first) returns
     the values at every x of stage l for every map in seconds, in order, as
     two lists of index rows: the composite's stored rows and the second rows
     read through the first.  It builds them by zipping columns: column i
     holds entry i of every second map, or of every second map's row.  The
     columns are gathered at the first block.
     """
-    firsts, second_rows, composites = P.actions[(l, m)], P.actions[(m, n)], P.actions[(l, n)]
+    rows = P.actions
+    composites = {h.table: rows[h] for h in enumerate_maps(l, n)}
     map_columns = row_columns = None
 
     def gather(columns, picks):
@@ -218,14 +228,13 @@ def stored_compose_sides(
         if instance:
             g, x = instance
             composite = composites[tuple(map(g.table.__getitem__, f.table))][x]
-            stepwise = second_rows[g.table][firsts[f.table][x]]
+            stepwise = rows[g][rows[f][x]]
             return (composite, stepwise) if composite_lhs else (stepwise, composite)
         if map_columns is None:
-            tables = [g.table for g in seconds]
-            map_columns = list(zip(*tables))
-            row_columns = list(zip(*map(second_rows.__getitem__, tables)))
+            map_columns = list(zip(*(g.table for g in seconds)))
+            row_columns = list(zip(*map(rows.__getitem__, seconds)))
         composite = list(map(composites.__getitem__, gather(map_columns, f.table)))
-        stepwise = list(gather(row_columns, firsts[f.table]))
+        stepwise = list(gather(row_columns, rows[f]))
         return (composite, stepwise) if composite_lhs else (stepwise, composite)
 
     return sides

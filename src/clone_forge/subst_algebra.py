@@ -112,16 +112,12 @@ class TableSubstAlgebra(SubstAlgebra):
         )
 
     def with_act_entry(self, f, x: int, value: int) -> "TableSubstAlgebra":
-        actions = {
-            key: dict(tables) for key, tables in self.base.actions.items()
-        }
-        table = list(actions[(f.dom, f.cod)][f.table])
-        table[x] = value
-        actions[(f.dom, f.cod)][f.table] = tuple(table)
+        row = list(self.base.table(f))
+        row[x] = value
         presheaf = TruncatedPresheaf(
             self.base.bound,
             self.base.carrier_sizes,
-            actions,
+            {**self.base.actions, f: tuple(row)},
             self.base.name,
         )
         return TableSubstAlgebra(

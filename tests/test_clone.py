@@ -303,6 +303,12 @@ def test_finite_algebra_rejects_non_integers(carrier, arity, table):
         FiniteAlgebra(carrier, {"m": (arity, table)})
 
 
+@pytest.mark.parametrize("arity", [True, False, 1.0])
+def test_signature_rejects_non_integer_arities(arity):
+    # a bool arity would name a clone like free(b:True)
+    with pytest.raises(ValueError, match="bad arity"):
+        Signature({"b": arity})
+
 
 def test_builtin_initial_selects():
     initial = builtin_clone("initial")

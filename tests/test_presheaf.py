@@ -143,11 +143,8 @@ def test_functoriality_of_representable():
 def test_functoriality_catches_corrupted_table():
     trunc = truncate_presheaf(representable_V(), 3)
     f = FinMap(2, 2, (0, 0))
-    tables = dict(trunc.actions[(2, 2)])
-    tables[f.table] = (0, 1)  # no longer the constant map's action
-    actions = dict(trunc.actions)
-    actions[(2, 2)] = tables
-    bad = TruncatedPresheaf(3, trunc.carrier_sizes, actions)
+    # (0, 1) is no longer the constant map's action
+    bad = TruncatedPresheaf(3, trunc.carrier_sizes, {**trunc.actions, f: (0, 1)})
     report = check_functoriality(bad, 3)
     check = report.check("compose-action")
     assert not check.passed
@@ -174,11 +171,8 @@ def test_sampled_composition_failure_matches_reference():
     mode, draws = instance_stream(axes, policy, "compose-action|4->4->4")
     assert mode == "sampled"
     f, _, x = next(itertools.islice(draws, 699, None))
-    actions = dict(P.actions)
-    actions[(4, 4)] = {**actions[(4, 4)], f.table: tuple(
-        (v + 1) % 4 if i == x else v for i, v in enumerate(P.table(f))
-    )}
-    bad = TruncatedPresheaf(4, P.carrier_sizes, actions)
+    row = tuple((v + 1) % 4 if i == x else v for i, v in enumerate(P.table(f)))
+    bad = TruncatedPresheaf(4, P.carrier_sizes, {**P.actions, f: row})
     check = compose_law(bad, "compose-action", 4, policy, {"4->4->4"})
     assert (check.passed, check.mode, check.instances) == (False, "sampled", 719)
     # the whole law meets the corruption first in a smaller, exhaustive combo
@@ -254,9 +248,8 @@ def test_block_mismatch_at_a_second_map_and_the_last_x(law, second, position):
     # pairs whose first row meets 1: first the second first map (0, 0, 1),
     # at the last x, so the failure is at second's position in that block
     P = truncate_presheaf(s_functor(builtin_clone("initial")).base, 3)
-    actions = dict(P.actions)
-    actions[(2, 3)] = {**actions[(2, 3)], second: (second[0], (second[1] + 1) % 3)}
-    bad = TruncatedPresheaf(3, P.carrier_sizes, actions)
+    row = (second[0], (second[1] + 1) % 3)
+    bad = TruncatedPresheaf(3, P.carrier_sizes, {**P.actions, FinMap(2, 3, second): row})
     check = compose_law(bad, law, 3, CheckPolicy(), {"3->2->3"})
     assert (check.passed, check.mode) == (False, "exhaustive")
     assert check.instances == 9 * 3 + position * 3 + 3
@@ -426,11 +419,7 @@ def test_delta_laws_catch_corrupted_action():
     trunc = truncate_presheaf(representable_V(), 5)
     g = generators()
     merge_at_1 = FinMap(3, 2, (0, 1, 1))  # identity(1) + merge
-    tables = dict(trunc.actions[(3, 2)])
-    tables[merge_at_1.table] = (0, 0, 1)
-    actions = dict(trunc.actions)
-    actions[(3, 2)] = tables
-    bad = TruncatedPresheaf(5, trunc.carrier_sizes, actions)
+    bad = TruncatedPresheaf(5, trunc.carrier_sizes, {**trunc.actions, merge_at_1: (0, 0, 1)})
     report = check_delta_laws(bad, 4)
     assert not report.passed
 

@@ -326,6 +326,24 @@ def test_table_algebra_rejects_non_integer_entries(value):
         table.with_v(1, value)
 
 
+def test_with_act_entry_changes_one_entry_of_a_new_base():
+    # check_composition keeps its verdicts on the stored base, so a mutant
+    # must get a new base and leave every row of its parent's as it was
+    table = truncate_algebra(initial_algebra(), 3)
+    assert check_functoriality(table.base, 3).passed
+    rows = dict(table.base.actions)
+    f = FinMap(2, 2, (0, 0))
+    mutant = table.with_act_entry(f, 1, 1)
+    assert mutant.base is not table.base and mutant.base.actions is not table.base.actions
+    assert table.base.actions.keys() == rows.keys()
+    assert all(table.base.actions[g] is row for g, row in rows.items())
+    assert {g for g, row in mutant.base.actions.items() if row != rows[g]} == {f}
+    assert (rows[f], mutant.base.table(f)) == ((0, 0), (0, 1))
+    assert (mutant.s_tables, mutant.v_values) == (table.s_tables, table.v_values)
+    assert not check_functoriality(mutant.base, 3).passed
+    assert check_functoriality(table.base, 3).passed
+
+
 def test_free_clone_cannot_be_tabulated():
     alg = s_functor(FreeClone(Signature({"b": 2})), Budget(max_depth=1))
     with pytest.raises(ValueError, match="not table-closed"):

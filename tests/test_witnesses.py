@@ -119,9 +119,7 @@ def reports() -> dict:
     out["first-substituend:clone-laws"] = clone_laws_check(broken, budget, policy)
     out["first-substituend:theory-laws"] = theory_laws_check(broken, 2, policy=policy)
     out["first-substituend:roundtrip-clone"] = roundtrip_clone(broken, budget, policy)
-    out["first-substituend:roundtrip-alg"] = roundtrip_alg(
-        s_functor(broken, budget), 3, budget, policy
-    )
+    out["first-substituend:roundtrip-alg"] = roundtrip_alg(s_functor(broken, budget), 3, policy)
     initial_clone = builtin_clone("initial")
     out["initial:theory-laws:reversed-compose"] = theory_laws_check(
         initial_clone, 2, policy=policy, compose_fn=reversed_compose
