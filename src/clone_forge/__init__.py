@@ -48,7 +48,6 @@ from .iso_bridge import (
     s_on_hom,
 )
 from .presheaf_f import (
-    DeltaPresheaf,
     Presheaf,
     StageRangeError,
     TruncatedPresheaf,

@@ -313,10 +313,7 @@ def main(argv=None) -> int:
     try:
         config = RunConfig(**vars(args))
         sections = _HANDLERS[config.command](config)
-    except (InputError, SchemaError, ShapeError, ContextError, StageRangeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except OSError as exc:
+    except (InputError, SchemaError, ShapeError, ContextError, StageRangeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     report = build_report(config, sections)

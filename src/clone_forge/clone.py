@@ -180,8 +180,6 @@ def free_mu(m: int, n: int, t: Term, us) -> Term:
 class Clone:
     """Carriers C_n with substitution mu and projections iota."""
 
-    name = "clone"
-
     def elems(self, n: int, budget: Budget | None = None) -> list:
         raise NotImplementedError
 
@@ -197,8 +195,6 @@ class FreeClone(Clone):
 
     def __init__(self, signature: Signature):
         self.signature = signature
-        ops = ",".join(f"{k}:{v}" for k, v in signature.operators.items())
-        self.name = f"free({ops})"
         self._layers: dict[int, list[list[Term]]] = {}
         # one table per substituend tuple: subterm -> its substitution along us
         self._mu_memo: dict[tuple[Term, ...], dict[Term, Term]] = {}
@@ -293,7 +289,6 @@ class FiniteClone(Clone):
     def __init__(self, algebra: FiniteAlgebra, max_arity: int):
         self.algebra = algebra
         self.max_arity = max_arity
-        self.name = f"finite(k={algebra.carrier_size})"
         self._carriers: dict[int, list[tuple[int, ...]]] = {}
         self._mu_memo: dict[tuple, tuple[int, ...]] = {}
         # row indices of the columns of us at arity n, keyed by (n, us)
@@ -385,8 +380,6 @@ STAR = "*"
 class InitialClone(Clone):
     """Carrier C_n = {0..n-1}; substitution selects."""
 
-    name = "initial"
-
     def elems(self, n, budget=None):
         return list(range(n))
 
@@ -405,8 +398,6 @@ class InitialClone(Clone):
 class TerminalClone(Clone):
     """Every carrier is a singleton."""
 
-    name = "terminal"
-
     def elems(self, n, budget=None):
         return [STAR]
 
@@ -421,8 +412,6 @@ class TerminalClone(Clone):
 
 class ArrowClone(Clone):
     """Empty carrier at arity 0, singletons above."""
-
-    name = "arrow"
 
     def elems(self, n, budget=None):
         return [] if n == 0 else [STAR]

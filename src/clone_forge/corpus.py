@@ -48,8 +48,6 @@ class ForgetfulAlgebra(SubstAlgebra):
     presentations are compared on a failing verdict.
     """
 
-    name = "forgetful"
-
     def __init__(self):
         self.base = RepresentableV()
 
@@ -74,7 +72,6 @@ def standard_algebras(budget: Budget | None = None) -> dict[str, SubstAlgebra]:
 class Mutant:
     name: str
     algebra: TableSubstAlgebra
-    bound: int
 
 
 def _initial_table_algebra(bound: int = 4) -> TableSubstAlgebra:
@@ -97,29 +94,29 @@ def _designed_mutants(base: TableSubstAlgebra) -> list[tuple[str, Mutant]]:
     out = []
 
     cx = base.with_act_entry(FinMap(3, 4, (0, 0, 0)), 0, 1)
-    out.append(("act-compose", Mutant("compose-breaker", cx, 4)))
+    out.append(("act-compose", Mutant("compose-breaker", cx)))
 
     ident = base.with_act_entry(FinMap(4, 4, (0, 1, 2, 3)), 1, 0)
-    out.append(("act-identity", Mutant("identity-breaker", ident, 4)))
+    out.append(("act-identity", Mutant("identity-breaker", ident)))
 
     nat = base.with_act_entry(FinMap(2, 2, (0, 0)), 1, 1)
-    out.append(("naturality", Mutant("naturality-breaker", nat, 4)))
+    out.append(("naturality", Mutant("naturality-breaker", nat)))
 
     # s_2(2, 0): stage-2 variable substituted into 0, true value 0
     unit = base.with_s_entry(2, 2, 0, 1)
-    out.append(("unit", Mutant("unit-breaker", unit, 4)))
+    out.append(("unit", Mutant("unit-breaker", unit)))
 
     # s_2(0, 1): substituting the stage-1 variable, true value 0
     contr = base.with_s_entry(2, 0, 1, 1)
-    out.append(("contraction", Mutant("contraction-breaker", contr, 4)))
+    out.append(("contraction", Mutant("contraction-breaker", contr)))
 
     # s_2(0, 0): weakened first argument, true value 0
     weak = base.with_s_entry(2, 0, 0, 1)
-    out.append(("weakening", Mutant("weakening-breaker", weak, 4)))
+    out.append(("weakening", Mutant("weakening-breaker", weak)))
 
     # s_3(1, 2): inner instance of the associativity family, true value 1
     assoc = base.with_s_entry(3, 1, 2, 2)
-    out.append(("associativity", Mutant("associativity-breaker", assoc, 4)))
+    out.append(("associativity", Mutant("associativity-breaker", assoc)))
     return out
 
 
@@ -136,11 +133,7 @@ def mutant_battery() -> list[Mutant]:
                 current = base.s_at(m, x, y)
                 bumped = (current + 1) % cols
                 mutants.append(
-                    Mutant(
-                        f"initial/s[{m}]({x},{y})",
-                        base.with_s_entry(m, x, y, bumped),
-                        4,
-                    )
+                    Mutant(f"initial/s[{m}]({x},{y})", base.with_s_entry(m, x, y, bumped))
                 )
 
     meet_alg = truncate_algebra(
@@ -151,7 +144,6 @@ def mutant_battery() -> list[Mutant]:
         Mutant(
             "meet/s[2]-bump",
             meet_alg.with_s_entry(2, 0, 0, (meet_alg.s_at(2, 0, 0) + 1) % 3),
-            4,
         )
     )
 
@@ -161,7 +153,6 @@ def mutant_battery() -> list[Mutant]:
         Mutant(
             "initial/v[2]-bump",
             base.with_v(2, (base.v_at(2) + 1) % base.base.carrier_sizes[3]),
-            4,
         )
     )
     return mutants

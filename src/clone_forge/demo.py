@@ -131,7 +131,7 @@ def tail_job(settings: Settings):
         )
     detection = Report()
     for law, mutant in corpus.designed_mutants():
-        report = check_presentation(mutant.algebra, mutant.bound, policy)
+        report = check_presentation(mutant.algebra, mutant.algebra.base.bound, policy)
         detection.checks.append(
             LawCheck(
                 f"detects:{mutant.name}",

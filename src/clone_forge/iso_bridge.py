@@ -32,7 +32,6 @@ class CloneActionPresheaf(Presheaf):
     def __init__(self, clone: Clone, budget: Budget | None = None):
         self.clone = clone
         self.budget = budget
-        self.name = f"carriers({clone.name})"
         self._cache: dict = {}
         self._images: dict[FinMap, tuple] = {}
 
@@ -56,7 +55,6 @@ class CloneAlgebra(SubstAlgebra):
     def __init__(self, clone: Clone, budget: Budget | None = None):
         self.clone = clone
         self.base = CloneActionPresheaf(clone, budget)
-        self.name = f"S({clone.name})"
         self._s_cache: dict = {}
         # the variables iota(m, 0..m-1) of each stage m
         self._variables: dict[int, tuple] = {}
@@ -125,7 +123,6 @@ class AlgebraClone(Clone):
 
     def __init__(self, algebra: SubstAlgebra):
         self.algebra = algebra
-        self.name = f"C({algebra.name})"
 
     def elems(self, n, budget=None):
         base = self.algebra.base
@@ -142,9 +139,6 @@ class AlgebraClone(Clone):
         return renamed_variable(self.algebra, m, i)
 
     def mu(self, m, n, t, us):
-        us = tuple(us)
-        if len(us) != m:
-            raise ValueError(f"expected {m} substituends, got {len(us)}")
         shift = FinMap(m, n + m, tuple(n + i for i in range(m)))
         lifted = self.algebra.base.act(shift, t)
         return phi(PhiContext(self.algebra, m, n, lifted, us))

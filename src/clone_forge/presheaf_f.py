@@ -52,8 +52,6 @@ class StageRangeError(CarrierUnavailable):
 class Presheaf:
     """A functor from finite ordinals to sets with enumerable stages."""
 
-    name = "presheaf"
-
     def set(self, m: int) -> list:
         raise NotImplementedError
 
@@ -63,8 +61,6 @@ class Presheaf:
 
 class RepresentableV(Presheaf):
     """Stage m = {0..m-1}; maps act by table lookup."""
-
-    name = "V"
 
     def set(self, m):
         return list(range(m))
@@ -96,14 +92,12 @@ class TruncatedPresheaf(Presheaf):
         bound: int,
         carrier_sizes: list[int],
         actions: dict[FinMap, tuple[int, ...]],
-        name: str = "truncated",
     ):
         if bound < 0 or len(carrier_sizes) != bound + 1:
             raise ValueError("carrier sizes must cover stages 0..bound")
         self.bound = bound
         self.carrier_sizes = list(carrier_sizes)
         self.actions = actions
-        self.name = name
         self.composition_checks: dict = {}
 
     def set(self, m):
@@ -124,7 +118,7 @@ class TruncatedPresheaf(Presheaf):
         return self.actions[f]
 
 
-def truncate_presheaf(P: Presheaf, bound: int, name: str | None = None) -> TruncatedPresheaf:
+def truncate_presheaf(P: Presheaf, bound: int) -> TruncatedPresheaf:
     """Store P's fragment up to bound as index tables."""
     carriers = [list(P.set(m)) for m in range(bound + 1)]
     index = [{e: i for i, e in enumerate(c)} for c in carriers]
@@ -133,9 +127,7 @@ def truncate_presheaf(P: Presheaf, bound: int, name: str | None = None) -> Trunc
         for m, n in itertools.product(range(bound + 1), repeat=2)
         for f in enumerate_maps(m, n)
     }
-    return TruncatedPresheaf(
-        bound, [len(c) for c in carriers], actions, name or f"trunc({P.name})"
-    )
+    return TruncatedPresheaf(bound, [len(c) for c in carriers], actions)
 
 
 class ProductPresheaf(Presheaf):
@@ -148,31 +140,12 @@ class ProductPresheaf(Presheaf):
     def __init__(self, P: Presheaf, Q: Presheaf):
         self.P = P
         self.Q = Q
-        self.name = f"({P.name}x{Q.name})"
 
     def set(self, m):
         return [(a, b) for a in self.P.set(m) for b in self.Q.set(m)]
 
     def act(self, f, x):
         return (self.P.act(f, x[0]), self.Q.act(f, x[1]))
-
-
-class DeltaPresheaf(Presheaf):
-    """The shift of a presheaf: stage m is the base at stage m+1.
-
-    check_delta_laws reads the shift through shifted(f) instead; this is
-    the reference its shifted actions are tested against.
-    """
-
-    def __init__(self, P: Presheaf):
-        self.P = P
-        self.name = f"delta({P.name})"
-
-    def set(self, m):
-        return self.P.set(m + 1)
-
-    def act(self, f, x):
-        return self.P.act(shifted(f), x)
 
 
 @lru_cache(maxsize=None)

@@ -44,8 +44,6 @@ LAW_MAPPING = {
 class SubstAlgebra:
     """Base presheaf together with the substitution family and variables."""
 
-    name = "subst-algebra"
-
     base: Presheaf
 
     def s_at(self, m: int, x, y):
@@ -113,12 +111,11 @@ class TableSubstAlgebra(SubstAlgebra):
 
     def with_act_entry(self, f, x: int, value: int) -> "TableSubstAlgebra":
         row = list(self.base.table(f))
+        if type(value) is not int or not 0 <= value < self.base.carrier_sizes[f.cod]:
+            raise ValueError(f"action value {value!r} outside the carrier of stage {f.cod}")
         row[x] = value
         presheaf = TruncatedPresheaf(
-            self.base.bound,
-            self.base.carrier_sizes,
-            {**self.base.actions, f: tuple(row)},
-            self.base.name,
+            self.base.bound, self.base.carrier_sizes, {**self.base.actions, f: tuple(row)}
         )
         return TableSubstAlgebra(
             presheaf,
@@ -128,7 +125,9 @@ class TableSubstAlgebra(SubstAlgebra):
         )
 
 
-def truncate_algebra(alg: SubstAlgebra, bound: int, name: str | None = None) -> TableSubstAlgebra:
+def truncate_algebra(
+    alg: SubstAlgebra, bound: int, name: str = "table-algebra"
+) -> TableSubstAlgebra:
     """Tabulate an algebra's fragment up to bound, elements becoming indices.
 
     Requires the enumerated carriers to be closed under substitution; free
@@ -157,9 +156,7 @@ def truncate_algebra(alg: SubstAlgebra, bound: int, name: str | None = None) -> 
         for m in range(bound)
     }
     v_values = {m: locate(m + 1, alg.v_at(m), "variable") for m in range(bound)}
-    return TableSubstAlgebra(
-        presheaf, s_tables, v_values, name or f"trunc({alg.name})"
-    )
+    return TableSubstAlgebra(presheaf, s_tables, v_values, name)
 
 
 def renamed_variable(alg: SubstAlgebra, m: int, i: int):

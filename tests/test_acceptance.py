@@ -159,12 +159,12 @@ def test_criterion_5_presentation_equivalence():
         ("meet-table", truncate_algebra(s_functor(meet_clone), 4), 4)
     )
     battery = mutant_battery()
-    natural = [m for m in battery if check_v_naturality(m.algebra, m.bound).passed]
+    natural = [m for m in battery if check_v_naturality(m.algebra, m.algebra.base.bound).passed]
     assert [m.name for m in natural] == [
         m.name for m in battery if m.name != "initial/v[2]-bump"
     ]
     assert len(natural) == 26
-    structures.extend((m.name, m.algebra, m.bound) for m in natural)
+    structures.extend((m.name, m.algebra, m.algebra.base.bound) for m in natural)
 
     ok = True
     for name, algebra, bound in structures:
@@ -253,7 +253,7 @@ def test_criterion_9_mutation_sensitivity():
     started = time.perf_counter()
     ok = True
     for law, mutant in designed_mutants():
-        report = check_presentation(mutant.algebra, mutant.bound)
+        report = check_presentation(mutant.algebra, mutant.algebra.base.bound)
         if law not in report.failed_laws():
             ok = False
             print(f"  {mutant.name} missed its target {law}")

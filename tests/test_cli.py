@@ -366,3 +366,14 @@ def test_json_reports_are_deterministic(capsys):
 
 def test_bound_validation(capsys):
     assert main(["check-f", "--bound", "1"]) == EXIT_INPUT
+
+
+def test_negative_depth_exits_two(capsys):
+    assert main(["check-clone", "--builtin", "initial", "--depth", "-1"]) == EXIT_INPUT
+    assert "non-negative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["finite-clone", "to-clone", "check-subst"])
+def test_a_file_command_without_input_exits_two(capsys, command):
+    assert main([command]) == EXIT_INPUT
+    assert f"{command} needs --input FILE" in capsys.readouterr().err

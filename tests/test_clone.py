@@ -305,7 +305,7 @@ def test_finite_algebra_rejects_non_integers(carrier, arity, table):
 
 @pytest.mark.parametrize("arity", [True, False, 1.0])
 def test_signature_rejects_non_integer_arities(arity):
-    # a bool arity would name a clone like free(b:True)
+    # True == 1, so a bool arity would pass a range check alone
     with pytest.raises(ValueError, match="bad arity"):
         Signature({"b": arity})
 

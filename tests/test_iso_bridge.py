@@ -102,6 +102,12 @@ def test_phi_arity_mismatch():
         PhiContext(alg, 2, 1, 0, (0,))
 
 
+def test_c_functor_mu_rejects_a_wrong_number_of_substituends():
+    back = c_functor(s_functor(builtin_clone("initial")))
+    with pytest.raises(ValueError, match="expected 2 substituends, got 1"):
+        back.mu(2, 1, 0, (0,))
+
+
 def test_c_functor_iota():
     back = c_functor(s_functor(FREE, BUD))
     assert back.iota(2, 1) == Var(1)
@@ -142,9 +148,9 @@ def test_s_images_are_lawful_and_c_images_are_clones():
         FiniteClone(FiniteAlgebra(2, {"meet": (2, (0, 0, 0, 1))}), 4),
     ):
         alg = s_functor(clone, small)
-        assert check_presentation(alg, 3).passed, clone.name
-        assert check_diagrams(alg, 3).passed, clone.name
-        assert clone_laws_check(c_functor(alg), small).passed, clone.name
+        assert check_presentation(alg, 3).passed, clone
+        assert check_diagrams(alg, 3).passed, clone
+        assert clone_laws_check(c_functor(alg), small).passed, clone
 
 
 def test_s_on_hom_certifies_variable_embedding():
@@ -182,7 +188,7 @@ def test_roundtrip_clone_on_corpus():
         builtin_clone("arrow"),
         FiniteClone(FiniteAlgebra(2, {"meet": (2, (0, 0, 0, 1))}), 3),
     ):
-        assert roundtrip_clone(clone, Budget(max_arity=3)).passed, clone.name
+        assert roundtrip_clone(clone, Budget(max_arity=3)).passed, clone
 
 
 def test_roundtrip_clone_free_small():

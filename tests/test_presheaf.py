@@ -28,7 +28,6 @@ from clone_forge.fin_cat import (
 from clone_forge.iso_bridge import s_functor
 from clone_forge.presheaf_f import (
     COMPOSITION_LAWS,
-    DeltaPresheaf,
     Presheaf,
     ProductPresheaf,
     StageRangeError,
@@ -292,7 +291,7 @@ def count_stored_sides(monkeypatch) -> list:
 
 def fresh_check(P, law, bound, policy):
     """law's LawCheck on a copy of P's tables that has checked nothing."""
-    copy = TruncatedPresheaf(P.bound, P.carrier_sizes, P.actions, P.name)
+    copy = TruncatedPresheaf(P.bound, P.carrier_sizes, P.actions)
     return check_composition(copy, law, stage_carriers(copy.set, bound, Report()), policy)
 
 
@@ -361,13 +360,6 @@ def test_functoriality_of_free_clone_presheaf():
     assert check_functoriality(base, 2).passed
 
 
-def test_delta_shifts_stages():
-    V = representable_V()
-    dV = DeltaPresheaf(V)
-    for m in range(4):
-        assert dV.set(m) == list(range(m + 1))
-
-
 def test_delta_structure_concrete_tables():
     # the shift's mu, swap and eta at stage m act by merge_map(m), swap_map(m)
     # and insert_map(m)
@@ -377,14 +369,6 @@ def test_delta_structure_concrete_tables():
     # the swap exchanges the two points of V(2)
     assert [V.act(swap_map(0), x) for x in V.set(2)] == [1, 0]
     assert V.act(insert_map(2), 1) == 1
-
-
-def test_delta_lowers_truncation_bound():
-    trunc = truncate_presheaf(representable_V(), 3)
-    shifted_once = DeltaPresheaf(trunc)
-    assert shifted_once.set(2) == [0, 1, 2]
-    with pytest.raises(StageRangeError):
-        shifted_once.set(3)
 
 
 def test_strengths_concrete_values():
@@ -439,15 +423,6 @@ def test_monoid_reduction_verdicts_agree_with_table_checker():
             assert check.passed == table_report.check(law).passed
 
 
-def test_delta_preserves_products():
-    V = representable_V()
-    P = ProductPresheaf(V, V)
-    for m in range(3):
-        assert DeltaPresheaf(P).set(m) == ProductPresheaf(
-            DeltaPresheaf(V), DeltaPresheaf(V)
-        ).set(m)
-
-
 @given(st.integers(0, 3), st.integers(0, 3))
 def test_strength_naturality_random_map(m, n):
     # the right strength (a, y) -> (a, act(old, y)) commutes with f: the
@@ -476,6 +451,12 @@ def test_truncate_presheaf_roundtrip_action():
                 assert trunc.act(f, x) == V.act(f, x)
     with pytest.raises(StageRangeError):
         trunc.set(4)
+
+
+@pytest.mark.parametrize("bound, sizes", [(3, [1, 2, 3]), (2, [1, 2, 3, 4]), (-1, [])])
+def test_truncated_presheaf_needs_one_carrier_size_per_stage(bound, sizes):
+    with pytest.raises(ValueError, match="cover stages"):
+        TruncatedPresheaf(bound, sizes, {})
 
 
 def test_truncated_checks_note_incompleteness():

@@ -127,14 +127,14 @@ def test_forgetful_algebra_fails_same_laws_in_both_modes():
 
 def test_agreement_over_battery():
     battery = mutant_battery()
-    natural = [m for m in battery if check_v_naturality(m.algebra, m.bound).passed]
+    natural = [m for m in battery if check_v_naturality(m.algebra, m.algebra.base.bound).passed]
     assert [m.name for m in natural] == [
         m.name for m in battery if m.name != "initial/v[2]-bump"
     ]
     assert len(natural) == 26
     for mutant in natural:
-        pres = check_presentation(mutant.algebra, mutant.bound)
-        diag = check_diagrams(mutant.algebra, mutant.bound)
+        pres = check_presentation(mutant.algebra, mutant.algebra.base.bound)
+        diag = check_diagrams(mutant.algebra, mutant.algebra.base.bound)
         for eq_law, diagram_law in LAW_MAPPING.items():
             assert (
                 pres.check(eq_law).passed == diag.check(diagram_law).passed
@@ -214,7 +214,7 @@ def test_eval_diagram_is_contraction_at_weakened_input():
 
 def test_designed_mutants_hit_their_targets():
     for law, mutant in designed_mutants():
-        report = check_presentation(mutant.algebra, mutant.bound)
+        report = check_presentation(mutant.algebra, mutant.algebra.base.bound)
         assert law in report.failed_laws(), mutant.name
         # sensitivity, not blanket failure: something else still passes
         assert len(report.failed_laws()) < len(report.checks)
@@ -313,6 +313,8 @@ def test_table_algebra_validates_shapes():
     table = truncate_algebra(alg, 3)
     with pytest.raises(ValueError):
         TableSubstAlgebra(table.base, {0: [0]}, table.v_values)
+    with pytest.raises(ValueError, match="escapes carrier"):
+        table.with_s_entry(2, 0, 0, 3)
 
 
 @pytest.mark.parametrize("value", [True, False, 0.0, 0.5, "0", None])
@@ -342,6 +344,14 @@ def test_with_act_entry_changes_one_entry_of_a_new_base():
     assert (mutant.s_tables, mutant.v_values) == (table.s_tables, table.v_values)
     assert not check_functoriality(mutant.base, 3).passed
     assert check_functoriality(table.base, 3).passed
+
+
+@pytest.mark.parametrize("value", [2, -1, True, 1.0])
+def test_with_act_entry_rejects_a_value_outside_the_target_carrier(value):
+    # such a row made a mutant that the checkers crashed on with IndexError
+    table = truncate_algebra(initial_algebra(), 3)
+    with pytest.raises(ValueError, match="outside the carrier of stage 2"):
+        table.with_act_entry(FinMap(2, 2, (0, 0)), 0, value)
 
 
 def test_free_clone_cannot_be_tabulated():

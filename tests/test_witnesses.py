@@ -55,8 +55,6 @@ BOUND = 4
 class FirstSubstituend(Clone):
     """Substitution that returns its first substituend: fails projection."""
 
-    name = "first-substituend"
-
     def elems(self, n, budget=None):
         return list(range(n))
 
@@ -73,7 +71,6 @@ class TwistedV(RepresentableV):
 
     def __init__(self, bad):
         self.bad = bad
-        self.name = f"twisted({bad})"
 
     def act(self, f, x):
         y = super().act(f, x)
