@@ -75,8 +75,6 @@ class RunConfig:
             raise InputError("depth and max-arity must be non-negative")
         if self.src < 0 or self.dst < 0:
             raise InputError("src and dst must be non-negative")
-        if self.fmt not in ("text", "json"):
-            raise InputError(f"unknown format {self.fmt!r}")
 
 
 def _policy(config: RunConfig) -> CheckPolicy:
@@ -88,26 +86,14 @@ def _budget(config: RunConfig) -> Budget:
 
 
 def _clone_from_flags(config: RunConfig):
-    picked = [
-        flag
-        for flag, value in (
-            ("--builtin", config.builtin),
-            ("--signature", config.signature),
-            ("--algebra", config.algebra),
-        )
-        if value
-    ]
-    if len(picked) != 1:
-        raise InputError("pick exactly one clone source: --builtin, --signature or --algebra")
-    if config.builtin:
+    if config.builtin is not None:
         try:
             return builtin_clone(config.builtin)
         except ValueError as exc:
             raise InputError(str(exc)) from exc
-    if config.signature:
+    if config.signature is not None:
         return FreeClone(load_signature(config.signature))
-    algebra = load_finite_algebra(config.algebra)
-    return FiniteClone(algebra, config.max_arity)
+    return FiniteClone(load_finite_algebra(config.algebra), config.max_arity)
 
 
 def cmd_check_f(config: RunConfig):
@@ -127,14 +113,10 @@ def _clone_laws(clone, config: RunConfig):
 
 
 def cmd_free_clone(config: RunConfig):
-    if not config.signature:
-        raise InputError("free-clone needs --signature FILE")
     return _clone_laws(FreeClone(load_signature(config.signature)), config)
 
 
 def cmd_finite_clone(config: RunConfig):
-    if not config.input:
-        raise InputError("finite-clone needs --input FILE")
     return _clone_laws(FiniteClone(load_finite_algebra(config.input), config.max_arity), config)
 
 
@@ -169,16 +151,12 @@ def cmd_to_subst(config: RunConfig):
 
 
 def cmd_to_clone(config: RunConfig):
-    if not config.input:
-        raise InputError("to-clone needs --input FILE")
     algebra = load_subst_algebra(config.input)
     report = clone_laws_check(c_functor(algebra), _budget(config), _policy(config))
     return [("clone-laws", report)]
 
 
 def cmd_check_subst(config: RunConfig):
-    if not config.input:
-        raise InputError("check-subst needs --input FILE")
     algebra = load_subst_algebra(config.input)
     policy = _policy(config)
     return [
@@ -218,9 +196,29 @@ def cmd_enum_hom(config: RunConfig):
 
 
 def cmd_demo(config: RunConfig):
-    settings = demo.Settings(config.bound, config.depth, config.max_arity, config.seed or 0)
-    return demo.run(settings)
+    return demo.run(config.bound, _budget(config), _policy(config))
 
+
+_SOURCE = ("--builtin", "--signature", "--algebra")
+_CHECK_FLAGS = ("--bound", "--depth", "--max-arity", "--seed")
+_INT_FLAGS = {*_CHECK_FLAGS, "--src", "--dst"}
+
+# The flags each command reads besides --format, as (required, optional):
+# exactly one of the required flags must be given, and any flag a command
+# does not read is a usage error.  FiniteClone and AlgebraClone ignore the
+# budget's depth, so finite-clone and to-clone do not take --depth.
+_FLAGS = {
+    "check-f": ((), ()),
+    "free-clone": (("--signature",), ("--depth", "--max-arity", "--seed")),
+    "finite-clone": (("--input",), ("--max-arity", "--seed")),
+    "check-clone": (_SOURCE, _CHECK_FLAGS),
+    "to-subst": (_SOURCE, (*_CHECK_FLAGS, "--output")),
+    "to-clone": (("--input",), ("--max-arity", "--seed")),
+    "check-subst": (("--input",), ("--bound", "--seed")),
+    "roundtrip": (_SOURCE, _CHECK_FLAGS),
+    "enum-hom": (_SOURCE, ("--depth", "--max-arity", "--src", "--dst")),
+    "demo": ((), _CHECK_FLAGS),
+}
 
 _HANDLERS = {
     "check-f": cmd_check_f,
@@ -290,25 +288,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _HANDLERS:
-        p = sub.add_parser(name)
-        p.add_argument("--bound", type=int, default=3)
-        p.add_argument("--depth", type=int, default=2)
-        p.add_argument("--max-arity", type=int, default=3, dest="max_arity")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--format", choices=["text", "json"], default="text", dest="fmt")
-        p.add_argument("--input", default=None)
-        p.add_argument("--output", default=None)
-        p.add_argument("--builtin", default=None)
-        p.add_argument("--signature", default=None)
-        p.add_argument("--algebra", default=None)
-        if name == "enum-hom":
-            p.add_argument("--src", type=int, default=1)
-            p.add_argument("--dst", type=int, default=1)
+        # a flag that is not given sets nothing: the defaults are RunConfig's
+        p = sub.add_parser(name, argument_default=argparse.SUPPRESS)
+        p.add_argument("--format", choices=["text", "json"], dest="fmt")
+        required, optional = _FLAGS[name]
+        group = p.add_mutually_exclusive_group(required=True) if len(required) > 1 else p
+        for flag in required:
+            group.add_argument(flag, required=group is p)
+        for flag in optional:
+            p.add_argument(flag, type=int if flag in _INT_FLAGS else str)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # 2 for a usage error, 0 after --help
+        return exc.code
     started = time.perf_counter()
     try:
         config = RunConfig(**vars(args))

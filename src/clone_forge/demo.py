@@ -43,25 +43,16 @@ CLONES = ("initial", "terminal", "arrow", "free-b2e0", "meet")
 PR_SET_PDEATHSIG = 1  # from <linux/prctl.h>
 
 
-class Settings(NamedTuple):
-    bound: int
-    depth: int
-    max_arity: int
-    seed: int
-
-
 class Job(NamedTuple):
     fn: Callable
     args: tuple
 
 
-def _inputs(settings: Settings):
-    budget = Budget(max_depth=settings.depth, max_arity=settings.max_arity)
-    clones = corpus.standard_clones(max_arity=max(settings.max_arity, 4))
-    return budget, CheckPolicy(seed=settings.seed), clones
+def _inputs(budget: Budget):
+    return corpus.standard_clones(max_arity=max(budget.max_arity, 4))
 
 
-def fin_cat_job(settings: Settings):
+def fin_cat_job():
     g = generators()
     sections = [("fin-cat", check_symmetric_monoid(g.c, g.w, g.s))]
     mutated = check_symmetric_monoid(g.c, g.w, identity(2))
@@ -79,46 +70,42 @@ def fin_cat_job(settings: Settings):
     return sections
 
 
-def clone_laws_job(settings: Settings, name: str):
-    budget, policy, clones = _inputs(settings)
-    return [(f"clone-laws:{name}", clone_laws_check(clones[name], budget, policy))]
+def clone_laws_job(budget: Budget, policy: CheckPolicy, name: str):
+    clone = _inputs(budget)[name]
+    return [(f"clone-laws:{name}", clone_laws_check(clone, budget, policy))]
 
 
-def theory_laws_job(settings: Settings):
-    budget, policy, clones = _inputs(settings)
-    report = theory_laws_check(clones["initial"], settings.bound, budget, policy)
+def theory_laws_job(bound: int, budget: Budget, policy: CheckPolicy):
+    report = theory_laws_check(_inputs(budget)["initial"], bound, budget, policy)
     return [("theory-laws:initial", report)]
 
 
-def presheaf_job(settings: Settings):
-    budget, policy, clones = _inputs(settings)
+def presheaf_job(bound: int, budget: Budget, policy: CheckPolicy):
     V = representable_V()
-    s_initial = s_functor(clones["initial"], budget)
+    s_initial = s_functor(_inputs(budget)["initial"], budget)
     return [
-        ("functoriality:V", check_functoriality(V, settings.bound, policy)),
-        ("delta-laws:V", check_delta_laws(V, settings.bound, policy)),
-        ("delta-laws:S(initial)", check_delta_laws(s_initial.base, settings.bound, policy)),
+        ("functoriality:V", check_functoriality(V, bound, policy)),
+        ("delta-laws:V", check_delta_laws(V, bound, policy)),
+        ("delta-laws:S(initial)", check_delta_laws(s_initial.base, bound, policy)),
     ]
 
 
-def presentation_job(settings: Settings, name: str):
-    budget, policy, clones = _inputs(settings)
-    algebra = s_functor(clones[name], budget)
+def presentation_job(bound: int, budget: Budget, policy: CheckPolicy, name: str):
+    algebra = s_functor(_inputs(budget)[name], budget)
     return [
-        (f"presentation:S({name})", check_presentation(algebra, settings.bound, policy)),
-        (f"diagrams:S({name})", check_diagrams(algebra, settings.bound, policy)),
-        (f"variable:S({name})", check_v_naturality(algebra, settings.bound, policy)),
+        (f"presentation:S({name})", check_presentation(algebra, bound, policy)),
+        (f"diagrams:S({name})", check_diagrams(algebra, bound, policy)),
+        (f"variable:S({name})", check_v_naturality(algebra, bound, policy)),
     ]
 
 
-def roundtrip_clone_job(settings: Settings, name: str):
-    budget, policy, clones = _inputs(settings)
-    return [(f"roundtrip-clone:{name}", roundtrip_clone(clones[name], budget, policy))]
+def roundtrip_clone_job(budget: Budget, policy: CheckPolicy, name: str):
+    clone = _inputs(budget)[name]
+    return [(f"roundtrip-clone:{name}", roundtrip_clone(clone, budget, policy))]
 
 
-def tail_job(settings: Settings):
-    budget, policy, clones = _inputs(settings)
-    bound = settings.bound
+def tail_job(bound: int, budget: Budget, policy: CheckPolicy):
+    clones = _inputs(budget)
     s_initial = s_functor(clones["initial"], budget)
     sections = [
         ("roundtrip-algebra:S(initial)", roundtrip_alg(s_initial, bound, policy))
@@ -145,20 +132,20 @@ def tail_job(settings: Settings):
     return sections
 
 
-def demo_jobs(settings: Settings) -> list[Job]:
+def demo_jobs(bound: int, budget: Budget, policy: CheckPolicy) -> list[Job]:
     """The demo's jobs, in section order."""
 
-    def per_clone(fn):
-        return [Job(fn, (settings, name)) for name in CLONES]
+    def per_clone(fn, *args):
+        return [Job(fn, (*args, name)) for name in CLONES]
 
     return [
-        Job(fin_cat_job, (settings,)),
-        *per_clone(clone_laws_job),
-        Job(theory_laws_job, (settings,)),
-        Job(presheaf_job, (settings,)),
-        *per_clone(presentation_job),
-        *per_clone(roundtrip_clone_job),
-        Job(tail_job, (settings,)),
+        Job(fin_cat_job, ()),
+        *per_clone(clone_laws_job, budget, policy),
+        Job(theory_laws_job, (bound, budget, policy)),
+        Job(presheaf_job, (bound, budget, policy)),
+        *per_clone(presentation_job, bound, budget, policy),
+        *per_clone(roundtrip_clone_job, budget, policy),
+        Job(tail_job, (bound, budget, policy)),
     ]
 
 
@@ -218,6 +205,7 @@ def run_jobs(jobs: list[Job]) -> list:
         return [future.result() for future in futures]
 
 
-def run(settings: Settings):
+def run(bound: int, budget: Budget, policy: CheckPolicy):
     """Every demo section, in report order."""
-    return [section for sections in run_jobs(demo_jobs(settings)) for section in sections]
+    jobs = demo_jobs(bound, budget, policy)
+    return [section for sections in run_jobs(jobs) for section in sections]

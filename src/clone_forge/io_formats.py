@@ -120,8 +120,11 @@ def _parse_truncated_presheaf(data, label: str) -> TruncatedPresheaf:
     actions: dict[FinMap, tuple[int, ...]] = {}
     raw_actions = data["actions"]
     _expect(isinstance(raw_actions, dict), f"{label}: 'actions' must be an object")
-    for m in range(bound + 1):
-        for n in range(bound + 1):
+    stages = range(bound + 1)
+    extra = set(raw_actions) - {f"{m}->{n}" for m in stages for n in stages}
+    _expect(not extra, f"{label}: action blocks outside stages 0..{bound}: {sorted(extra)}")
+    for m in stages:
+        for n in stages:
             key = f"{m}->{n}"
             block = raw_actions.get(key)
             _expect(block is not None, f"{label}: missing action block {key!r}")
@@ -172,6 +175,11 @@ def load_subst_algebra(path) -> TableSubstAlgebra:
         isinstance(data.get("s"), dict) and isinstance(data.get("v"), dict),
         f"{path}: expected 's' and 'v' tables",
     )
+    for table in ("s", "v"):
+        extra = set(data[table]) - {str(m) for m in range(P.bound)}
+        _expect(
+            not extra, f"{path}: {table!r} stages outside 0..{P.bound - 1}: {sorted(extra)}"
+        )
     s_tables = {}
     v_values = {}
     for m in range(P.bound):

@@ -95,14 +95,23 @@ class TableSubstAlgebra(SubstAlgebra):
     def v_at(self, m):
         return self.v_values[m]
 
+    def _check_stage(self, m: int) -> None:
+        if not 0 <= m < self.base.bound:
+            raise ValueError(f"stage {m} outside 0..{self.base.bound - 1}")
+
     def with_s_entry(self, m: int, x: int, y: int, value: int) -> "TableSubstAlgebra":
+        self._check_stage(m)
+        sizes = self.base.carrier_sizes
+        if not (0 <= x < sizes[m + 1] and 0 <= y < sizes[m]):
+            raise ValueError(f"position ({x},{y}) outside the stage-{m} substitution table")
         tables = {k: list(t) for k, t in self.s_tables.items()}
-        tables[m][x * self.base.carrier_sizes[m] + y] = value
+        tables[m][x * sizes[m] + y] = value
         return TableSubstAlgebra(
             self.base, tables, self.v_values, f"{self.name}/s[{m}]({x},{y})={value}"
         )
 
     def with_v(self, m: int, value: int) -> "TableSubstAlgebra":
+        self._check_stage(m)
         values = dict(self.v_values)
         values[m] = value
         return TableSubstAlgebra(
@@ -110,9 +119,12 @@ class TableSubstAlgebra(SubstAlgebra):
         )
 
     def with_act_entry(self, f, x: int, value: int) -> "TableSubstAlgebra":
-        row = list(self.base.table(f))
+        row = self.base.table(f)
+        if not 0 <= x < len(row):
+            raise ValueError(f"position {x} outside the carrier of stage {f.dom}")
         if type(value) is not int or not 0 <= value < self.base.carrier_sizes[f.cod]:
             raise ValueError(f"action value {value!r} outside the carrier of stage {f.cod}")
+        row = list(row)
         row[x] = value
         presheaf = TruncatedPresheaf(
             self.base.bound, self.base.carrier_sizes, {**self.base.actions, f: tuple(row)}

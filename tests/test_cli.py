@@ -288,6 +288,26 @@ def test_an_action_block_that_is_not_an_object_exits_two(tmp_path, capsys):
     assert captured.err == f"error: {path}: action block '1->1' must be an object\n"
 
 
+@pytest.mark.parametrize(
+    "table, key, message",
+    [
+        ("actions", "7->7", "action blocks outside stages 0..3: ['7->7']"),
+        ("s", "9", "'s' stages outside 0..2: ['9']"),
+        ("v", "9", "'v' stages outside 0..2: ['9']"),
+    ],
+)
+def test_a_stage_beyond_the_bound_exits_two(tmp_path, capsys, table, key, message):
+    # a stage beyond the bound would go unread, so the file is refused
+    data = _subst_payload()
+    data[table][key] = data[table]["1->1" if table == "actions" else "0"]
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    code = main(["check-subst", "--input", str(path)])
+    captured = capsys.readouterr()
+    assert code == EXIT_INPUT
+    assert captured.err == f"error: {path}: {message}\n"
+
+
 def test_missing_file_exits_two(capsys):
     assert main(["check-subst", "--input", "/nonexistent/alg.json"]) == EXIT_INPUT
 
@@ -365,7 +385,8 @@ def test_json_reports_are_deterministic(capsys):
 
 
 def test_bound_validation(capsys):
-    assert main(["check-f", "--bound", "1"]) == EXIT_INPUT
+    assert main(["check-clone", "--builtin", "initial", "--bound", "1"]) == EXIT_INPUT
+    assert "bound must be at least 2" in capsys.readouterr().err
 
 
 def test_negative_depth_exits_two(capsys):
@@ -376,4 +397,27 @@ def test_negative_depth_exits_two(capsys):
 @pytest.mark.parametrize("command", ["finite-clone", "to-clone", "check-subst"])
 def test_a_file_command_without_input_exits_two(capsys, command):
     assert main([command]) == EXIT_INPUT
-    assert f"{command} needs --input FILE" in capsys.readouterr().err
+    assert "the following arguments are required: --input" in capsys.readouterr().err
+
+
+# each command takes only the flags it reads
+UNREAD_FLAGS = [
+    ["to-clone", "--input", "a.json", "--bound", "7", "--depth", "9"],
+    ["check-subst", "--input", "a.json", "--builtin", "meet"],
+    ["check-f", "--seed", "4"],
+    ["enum-hom", "--builtin", "initial", "--seed", "1"],
+    ["demo", "--input", "x"],
+]
+
+
+@pytest.mark.parametrize("argv", UNREAD_FLAGS, ids=[" ".join(a) for a in UNREAD_FLAGS])
+def test_a_flag_the_command_does_not_read_exits_two(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "a.json").write_text(json.dumps(_subst_payload()))
+    assert main(argv) == EXIT_INPUT
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_help_exits_zero(capsys):
+    assert main(["check-clone", "--help"]) == EXIT_PASS
+    assert "--builtin" in capsys.readouterr().out

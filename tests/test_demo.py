@@ -57,7 +57,7 @@ def test_results_come_back_in_job_order_when_a_later_job_finishes_first(monkeypa
 def test_a_job_that_raises_stage_range_error_makes_main_exit_2(monkeypatch, capsys):
     monkeypatch.setattr(demo, "usable_cpus", lambda: 2)
     monkeypatch.setattr(
-        demo, "demo_jobs", lambda settings: [Job(out_of_range, (9,)), Job(nap_then, (0.0, []))]
+        demo, "demo_jobs", lambda bound, budget, policy: [Job(out_of_range, (9,)), Job(nap_then, (0.0, []))]
     )
     assert main(["demo"]) == EXIT_INPUT
     assert capsys.readouterr().err == "error: stage 9 exceeds the stored bound\n"
@@ -68,7 +68,7 @@ def test_a_worker_that_dies_ends_the_command_with_an_error():
         "import os, sys\n"
         "from clone_forge import cli, demo\n"
         "demo.usable_cpus = lambda: 1\n"
-        "demo.demo_jobs = lambda settings: [demo.Job(os._exit, (3,))]\n"
+        "demo.demo_jobs = lambda bound, budget, policy: [demo.Job(os._exit, (3,))]\n"
         "sys.exit(cli.main(['demo']))\n"
     )
     env = {**os.environ, "PYTHONPATH": SRC}
@@ -89,7 +89,7 @@ def test_no_worker_outlives_a_killed_demo(tmp_path, sig):
         "from test_demo import pid_then_sleep\n"
         "demo.usable_cpus = lambda: 2\n"
         f"job = demo.Job(pid_then_sleep, ({str(tmp_path)!r},))\n"
-        "demo.demo_jobs = lambda settings: [job, job]\n"
+        "demo.demo_jobs = lambda bound, budget, policy: [job, job]\n"
         "sys.exit(cli.main(['demo']))\n"
     )
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([SRC, TESTS])}

@@ -354,6 +354,31 @@ def test_with_act_entry_rejects_a_value_outside_the_target_carrier(value):
         table.with_act_entry(FinMap(2, 2, (0, 0)), 0, value)
 
 
+# (method, arguments) that name no entry of the bound-3 tables of S(initial):
+# unchecked, the first three would rewrite another entry, the next two would
+# store an unused variable, and the last three would raise KeyError or
+# IndexError
+OUTSIDE_POSITIONS = [
+    ("with_s_entry", (2, -1, 0, 1)),
+    ("with_s_entry", (2, 0, 5, 0)),
+    ("with_act_entry", (FinMap(2, 2, (0, 0)), -1, 1)),
+    ("with_v", (7, 0)),
+    ("with_v", (-1, 0)),
+    ("with_s_entry", (5, 0, 0, 0)),
+    ("with_s_entry", (3, 0, 0, 0)),
+    ("with_act_entry", (FinMap(2, 2, (0, 0)), 2, 1)),
+]
+
+
+@pytest.mark.parametrize(
+    "method, args", OUTSIDE_POSITIONS, ids=[f"{m}{a}" for m, a in OUTSIDE_POSITIONS]
+)
+def test_an_edit_outside_the_tables_raises_value_error(method, args):
+    table = truncate_algebra(initial_algebra(), 3)
+    with pytest.raises(ValueError, match="outside"):
+        getattr(table, method)(*args)
+
+
 def test_free_clone_cannot_be_tabulated():
     alg = s_functor(FreeClone(Signature({"b": 2})), Budget(max_depth=1))
     with pytest.raises(ValueError, match="not table-closed"):
