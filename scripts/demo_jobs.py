@@ -1,0 +1,85 @@
+#!/usr/bin/env python3
+"""Run each job of the demo alone and print its CPU time, peak RSS and instances.
+
+Each job of ``demo.demo_jobs`` runs in its own forked child, one child at a
+time, with the cyclic garbage collector off as in the demo's workers.  A
+job is named by its first section.  CPU is the child's user plus system
+time; peak RSS is the child's high-water mark, which, as in a demo worker,
+counts the pages it shares with this process after the fork.  The flags are
+the demo's, at the demo's defaults.
+
+    python3 scripts/demo_jobs.py [--bound B] [--depth D] [--max-arity K] [--seed S]
+"""
+
+import argparse
+import gc
+import json
+import os
+import resource
+import sys
+import traceback
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from clone_forge.cli import RunConfig, _budget, _policy
+from clone_forge.demo import demo_jobs
+
+
+def _measure(job) -> dict:
+    """Run job in this process; its first section's name, CPU s, peak MB and instances."""
+    gc.disable()
+    sections = job.fn(*job.args)
+    usage = resource.getrusage(resource.RUSAGE_SELF)
+    return {
+        "job": sections[0][0],
+        "cpu_s": usage.ru_utime + usage.ru_stime,
+        "peak_mb": usage.ru_maxrss / 1024,  # KiB on Linux
+        "instances": sum(c.instances for _, report in sections for c in report.checks),
+    }
+
+
+def run_alone(job) -> dict:
+    """Run job in one forked child and return what _measure reported there."""
+    read_end, write_end = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        os.close(read_end)
+        # the child must end here, never return into the parent's loop
+        try:
+            with os.fdopen(write_end, "w") as out:
+                json.dump(_measure(job), out)
+        except BaseException:
+            traceback.print_exc()
+            os._exit(1)
+        os._exit(0)
+    os.close(write_end)
+    with os.fdopen(read_end) as result:
+        text = result.read()
+    _, status = os.waitpid(pid, 0)
+    if os.waitstatus_to_exitcode(status) != 0:
+        raise RuntimeError(f"job {job.fn.__name__}{job.args} failed in its child")
+    return json.loads(text)
+
+
+def main() -> int:
+    defaults = RunConfig("demo")
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("--bound", type=int, default=defaults.bound)
+    parser.add_argument("--depth", type=int, default=defaults.depth)
+    parser.add_argument("--max-arity", type=int, default=defaults.max_arity)
+    parser.add_argument("--seed", type=int, default=defaults.seed)
+    config = RunConfig("demo", **vars(parser.parse_args()))
+
+    print(f"{'job':<34} {'cpu_s':>7} {'peak_mb':>8} {'instances':>10}")
+    for job in demo_jobs(config.bound, _budget(config), _policy(config)):
+        r = run_alone(job)
+        print(
+            f"{r['job']:<34} {r['cpu_s']:>7.2f} {r['peak_mb']:>8.1f} {r['instances']:>10}",
+            flush=True,
+        )
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

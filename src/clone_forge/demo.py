@@ -163,9 +163,10 @@ def _end_with_parent(parent: int) -> None:
     whatever signal.  A parent that ended before this ran is no longer the
     worker's parent, so the worker exits at once.
     """
-    # a job's interned terms and memo tables live until the worker ends by
-    # os._exit and hold no cycles to free (free-term substitution builds
-    # none), so full collections would only walk that heap again and again
+    # a job's interned terms live until the worker ends by os._exit, and
+    # they and its memo tables hold no cycles to free (free-term
+    # substitution builds none), so full collections would only walk that
+    # heap again and again
     gc.disable()
     if sys.platform.startswith("linux"):
         import ctypes

@@ -96,14 +96,14 @@ class TableSubstAlgebra(SubstAlgebra):
         return self.v_values[m]
 
     def _check_stage(self, m: int) -> None:
-        if not 0 <= m < self.base.bound:
-            raise ValueError(f"stage {m} outside 0..{self.base.bound - 1}")
+        if not _is_index(m, self.base.bound):
+            raise ValueError(f"stage {m!r} outside 0..{self.base.bound - 1}")
 
     def with_s_entry(self, m: int, x: int, y: int, value: int) -> "TableSubstAlgebra":
         self._check_stage(m)
         sizes = self.base.carrier_sizes
-        if not (0 <= x < sizes[m + 1] and 0 <= y < sizes[m]):
-            raise ValueError(f"position ({x},{y}) outside the stage-{m} substitution table")
+        if not (_is_index(x, sizes[m + 1]) and _is_index(y, sizes[m])):
+            raise ValueError(f"position ({x!r},{y!r}) outside the stage-{m} substitution table")
         tables = {k: list(t) for k, t in self.s_tables.items()}
         tables[m][x * sizes[m] + y] = value
         return TableSubstAlgebra(
@@ -120,9 +120,9 @@ class TableSubstAlgebra(SubstAlgebra):
 
     def with_act_entry(self, f, x: int, value: int) -> "TableSubstAlgebra":
         row = self.base.table(f)
-        if not 0 <= x < len(row):
-            raise ValueError(f"position {x} outside the carrier of stage {f.dom}")
-        if type(value) is not int or not 0 <= value < self.base.carrier_sizes[f.cod]:
+        if not _is_index(x, len(row)):
+            raise ValueError(f"position {x!r} outside the carrier of stage {f.dom}")
+        if not _is_index(value, self.base.carrier_sizes[f.cod]):
             raise ValueError(f"action value {value!r} outside the carrier of stage {f.cod}")
         row = list(row)
         row[x] = value
@@ -135,6 +135,11 @@ class TableSubstAlgebra(SubstAlgebra):
             self.v_values,
             f"{self.name}/act[{f.dom}->{f.cod} {list(f.table)}]({x})={value}",
         )
+
+
+def _is_index(i, size: int) -> bool:
+    """Whether i is an int (bool and float are not) in 0..size-1."""
+    return type(i) is int and 0 <= i < size
 
 
 def truncate_algebra(

@@ -193,6 +193,52 @@ def test_free_clone_mu_misses_leave_no_cyclic_garbage():
             gc.enable()
 
 
+def memo_tables(clone):
+    """The substitution tables a free clone holds, over all of its memo dicts."""
+    return sum(len(memo) for name, memo in vars(clone).items() if name.startswith("_mu"))
+
+
+def test_free_clone_memo_holds_at_most_two_generations_of_tables():
+    n = clone_module.MEMO_TABLES
+    clone = FreeClone(SIG)
+    t = App("b", (Var(0), App("b", (App("e", ()), Var(0)))))
+    for i in range(2 * n + n // 2):
+        us = (App("b", (Var(i), Var(0))),)
+        assert clone.mu(1, i + 1, t, us) is free_mu(1, i + 1, t, us)
+        assert memo_tables(clone) <= 2 * n
+
+
+def test_free_clone_memo_takes_a_table_back_from_the_old_generation():
+    clone = FreeClone(SIG)
+    t = App("b", (Var(0), App("b", (Var(1), Var(0)))))
+    us = (App("b", (Var(0), Var(0))), Var(1))
+    first = clone.mu(2, 2, t, us)
+    table = clone._mu_young[us]
+    inner = table[t.args[1]]
+    # as many other tuples as the young generation holds push us into the old
+    for i in range(clone_module.MEMO_TABLES):
+        clone.mu(2, i + 3, t, (Var(i + 2), Var(0)))
+    assert clone._mu_old[us] is table
+    # the asked-for table moves back to the young generation with its entries
+    assert clone.mu(2, 2, t.args[1], us) is inner
+    assert clone.mu(2, 2, t, us) is first
+    assert clone._mu_young[us] is table
+    assert us not in clone._mu_old
+
+
+def test_free_clone_memo_keeps_no_variable_or_closed_term():
+    clone = FreeClone(SIG)
+    us = (App("b", (Var(1), Var(0))), Var(0))
+    assert clone.mu(2, 2, Var(0), us) is us[0]
+    assert clone.mu(2, 2, Var(1), us) is us[1]
+    closed = App("b", (App("e", ()), App("e", ())))
+    assert clone.mu(2, 2, closed, us) is closed
+    assert memo_tables(clone) == 0
+    t = App("b", (closed, App("b", (Var(1), App("e", ())))))
+    clone.mu(2, 2, t, us)
+    assert all(s.min_context > 0 for s in clone._mu_young[us])
+
+
 def test_free_enumeration_deterministic_and_depth_layered():
     clone = FreeClone(SIG)
     d1 = clone.elems(1, Budget(max_depth=1))
@@ -396,6 +442,10 @@ def test_terms_are_interned():
     b = App("b", [Var(0), App("e", [])])
     assert a is b
     assert Var(2) is Var(2)
+    # each operator has its own table: equal args do not make equal terms
+    args = (Var(0), Var(1))
+    assert App("b", args) is not App("c", args)
+    assert App("c", args).op == "c"
     assert a.min_context == 1
     assert App("e", ()).min_context == 0
     with pytest.raises(AttributeError):

@@ -356,8 +356,10 @@ def test_with_act_entry_rejects_a_value_outside_the_target_carrier(value):
 
 # (method, arguments) that name no entry of the bound-3 tables of S(initial):
 # unchecked, the first three would rewrite another entry, the next two would
-# store an unused variable, and the last three would raise KeyError or
-# IndexError
+# store an unused variable, and the next three would raise KeyError or
+# IndexError.  A stage or position must be an int: unchecked, the two float
+# positions would raise TypeError, and the bool stage and float stage would
+# edit stages 1 and 0 under the names s[True] and v[0.0]
 OUTSIDE_POSITIONS = [
     ("with_s_entry", (2, -1, 0, 1)),
     ("with_s_entry", (2, 0, 5, 0)),
@@ -367,6 +369,10 @@ OUTSIDE_POSITIONS = [
     ("with_s_entry", (5, 0, 0, 0)),
     ("with_s_entry", (3, 0, 0, 0)),
     ("with_act_entry", (FinMap(2, 2, (0, 0)), 2, 1)),
+    ("with_s_entry", (2, 0.0, 0, 1)),
+    ("with_act_entry", (FinMap(2, 2, (0, 0)), 0.0, 0)),
+    ("with_s_entry", (True, 0, 0, 0)),
+    ("with_v", (0.0, 0)),
 ]
 
 
