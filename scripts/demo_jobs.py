@@ -8,7 +8,11 @@ time; peak RSS is the child's high-water mark, which, as in a demo worker,
 counts the pages it shares with this process after the fork.  The flags are
 the demo's, at the demo's defaults.
 
-    python3 scripts/demo_jobs.py [--bound B] [--depth D] [--max-arity K] [--seed S]
+``--runs N`` runs every job in turn, N rounds over the jobs, and prints the
+minimum and median CPU of each job over its N runs, with its largest peak
+RSS.  A single run's CPU moves by tens of percent on a shared machine.
+
+    python3 scripts/demo_jobs.py [--runs N] [--bound B] [--depth D] [--max-arity K] [--seed S]
 """
 
 import argparse
@@ -16,6 +20,7 @@ import gc
 import json
 import os
 import resource
+import statistics
 import sys
 import traceback
 from pathlib import Path
@@ -65,18 +70,28 @@ def run_alone(job) -> dict:
 def main() -> int:
     defaults = RunConfig("demo")
     parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("--runs", type=int, default=1, help="rounds over the jobs (default 1)")
     parser.add_argument("--bound", type=int, default=defaults.bound)
     parser.add_argument("--depth", type=int, default=defaults.depth)
     parser.add_argument("--max-arity", type=int, default=defaults.max_arity)
     parser.add_argument("--seed", type=int, default=defaults.seed)
-    config = RunConfig("demo", **vars(parser.parse_args()))
+    args = vars(parser.parse_args())
+    runs = args.pop("runs")
+    if runs < 1:
+        parser.error("--runs must be at least 1")
+    config = RunConfig("demo", **args)
 
-    print(f"{'job':<34} {'cpu_s':>7} {'peak_mb':>8} {'instances':>10}")
-    for job in demo_jobs(config.bound, _budget(config), _policy(config)):
-        r = run_alone(job)
+    jobs = demo_jobs(config.bound, _budget(config), _policy(config))
+    results = [[] for _ in jobs]
+    for _ in range(runs):
+        for job, seen in zip(jobs, results):
+            seen.append(run_alone(job))
+    print(f"{'job':<34} {'cpu_min':>7} {'cpu_med':>7} {'peak_mb':>8} {'instances':>10}")
+    for seen in results:
+        cpu = [r["cpu_s"] for r in seen]
         print(
-            f"{r['job']:<34} {r['cpu_s']:>7.2f} {r['peak_mb']:>8.1f} {r['instances']:>10}",
-            flush=True,
+            f"{seen[0]['job']:<34} {min(cpu):>7.2f} {statistics.median(cpu):>7.2f} "
+            f"{max(r['peak_mb'] for r in seen):>8.1f} {seen[0]['instances']:>10}"
         )
     return 0
 

@@ -31,6 +31,13 @@ class CheckPolicy:
     sample_size: int = 2000
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        # a sampled family that draws nothing would pass with 0 instances
+        for name, least in (("exhaustive_threshold", 0), ("sample_size", 1)):
+            value = getattr(self, name)
+            if type(value) is not int or value < least:
+                raise ValueError(f"{name} must be an int of at least {least}, got {value!r}")
+
 
 @dataclass(frozen=True)
 class LawCheck:

@@ -2,6 +2,8 @@
 
 import random
 
+import pytest
+
 from clone_forge.checks import CheckPolicy, Group, Row, check_law, instance_stream
 
 NAMES = "m a x lhs rhs"
@@ -189,3 +191,22 @@ def test_sampled_draws_are_randrange_draws():
         rng = random.Random(f"5|law|{n}")
         expected = [tuple(a[rng.randrange(len(a))] for a in axes) for _ in range(20)]
         assert (mode, list(draws)) == ("sampled", expected)
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"exhaustive_threshold": -1, "sample_size": -5},
+        {"exhaustive_threshold": -1},
+        {"sample_size": 0},
+        {"sample_size": -5},
+        {"sample_size": True},
+        {"exhaustive_threshold": False},
+        {"sample_size": 2.0},
+        {"exhaustive_threshold": "10"},
+    ],
+)
+def test_a_policy_that_would_pass_a_law_unchecked_is_rejected(fields):
+    # a sampled family that draws nothing would pass with 0 instances
+    with pytest.raises(ValueError, match="must be an int of at least"):
+        CheckPolicy(**fields)

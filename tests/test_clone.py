@@ -1,5 +1,6 @@
 """Free and finite clones, built-ins, and the induced theory."""
 
+import collections
 import copy
 import gc
 import itertools
@@ -19,6 +20,7 @@ from clone_forge.clone import (
     FiniteAlgebra,
     FiniteClone,
     FreeClone,
+    InitialClone,
     Signature,
     TheoryHom,
     Var,
@@ -83,12 +85,104 @@ def test_free_mu_projection():
 
 
 def test_free_mu_context_errors():
-    with pytest.raises(ContextError):
-        free_mu(1, 1, Var(1), [Var(0)])
-    with pytest.raises(ContextError):
-        free_mu(2, 1, Var(0), [Var(0)])
-    with pytest.raises(ContextError):
-        free_mu(1, 1, Var(0), [Var(2)])
+    # FreeClone.mu makes free_mu's checks inline: the same error each time
+    for m, n, t, us in (
+        (1, 1, Var(1), [Var(0)]),
+        (2, 1, Var(0), [Var(0)]),
+        (1, 1, Var(0), [Var(2)]),
+    ):
+        with pytest.raises(ContextError) as reference:
+            free_mu(m, n, t, us)
+        with pytest.raises(ContextError) as inline:
+            FreeClone(SIG).mu(m, n, t, us)
+        assert str(inline.value) == str(reference.value)
+
+
+E = App("e", ())
+X0X1 = App("b", (Var(0), Var(1)))
+
+
+@pytest.mark.parametrize(
+    "m, t, us, expected",
+    [
+        (2, Var(1), (E, X0X1), X0X1),
+        (1, E, (X0X1,), E),
+        (1, App("b", (Var(0), E)), (X0X1,), App("b", (X0X1, E))),
+        (2, App("b", (App("b", (E, E)), Var(1))), (Var(0), E),
+         App("b", (App("b", (E, E)), E))),
+        (2, App("b", (X0X1, X0X1)), (Var(1), App("b", (Var(0), E))),
+         App("b", (App("b", (Var(1), App("b", (Var(0), E)))),) * 2)),
+        (2, App("b", (X0X1, App("b", (E, X0X1)))), (E, E),
+         App("b", (App("b", (E, E)), App("b", (E, App("b", (E, E))))))),
+    ],
+)
+def test_free_substitution_returns_the_term_app_builds(m, t, us, expected):
+    # nullary operators, closed arguments and repeated subterms, built by
+    # substitution and by App(...), are one interned term
+    clone = FreeClone(SIG)
+    for _ in range(2):  # the second call is answered from the memo
+        assert free_mu(m, 2, t, us) is expected
+        assert clone.mu(m, 2, t, us) is expected
+    assert expected.min_context == max((a.min_context for a in expected.args), default=0)
+
+
+class CountingInitial(InitialClone):
+    """The initial clone, counting its mu calls by (m, n)."""
+
+    def __init__(self):
+        self.calls = collections.Counter()
+
+    def mu(self, m, n, t, us):
+        self.calls[m, n] += 1
+        return super().mu(m, n, t, us)
+
+
+def test_clone_associativity_substitutes_along_ys_once_per_prefix():
+    clone = CountingInitial()
+    assert clone_laws_check(clone, Budget(max_arity=3)).passed  # |C_k| = k, all exhaustive
+    expected = collections.Counter()
+    for l, m, n in itertools.product(range(4), repeat=3):
+        prefixes = l * m**l  # the (x, ys)
+        instances = prefixes * n**m
+        if instances:
+            expected[l, m] += prefixes  # mu(l, m, x, ys), once per (x, ys)
+            expected[m, n] += (1 + l) * instances
+            expected[l, n] += instances
+    for m, n in itertools.product(range(1, 4), range(4)):
+        expected[m, n] += m * n**m  # projection
+    for m in range(4):
+        expected[m, m] += m  # right identity
+    assert clone.calls == expected
+
+
+def test_hom_associativity_composes_f_and_g_once_per_pair():
+    calls = []
+
+    def counting(clone, f, g):
+        calls.append((f, g))
+        return theory_compose(clone, f, g)
+
+    assert theory_laws_check(builtin_clone("initial"), 3, compose_fn=counting).passed
+    expected = 0
+    for a, b, c, d in itertools.product(range(4), repeat=4):
+        pairs = c**d * b**c  # the (f, g); a hom m -> n is n elements of C_m
+        instances = pairs * a**b
+        if instances:
+            expected += 3 * instances + pairs
+    expected += 2 * sum(m**n for m, n in itertools.product(range(4), repeat=2))  # identity
+    assert len(calls) == expected
+
+
+def test_theory_compose_builds_a_hom_equal_to_the_constructors():
+    free = FreeClone(SIG)
+    f = TheoryHom(2, 2, (X0X1, Var(0)))
+    g = TheoryHom(1, 2, (Var(0), E))
+    composite = theory_compose(free, f, g)
+    assert composite == TheoryHom(1, 2, (App("b", (Var(0), E)), Var(0)))
+    assert hash(composite) == hash(TheoryHom(1, 2, [App("b", (Var(0), E)), Var(0)]))
+    assert type(composite.components) is tuple
+    with pytest.raises(ValueError, match="needs 2 components, got 1"):
+        TheoryHom(1, 2, (Var(0),))
 
 
 @settings(max_examples=200)
@@ -332,6 +426,18 @@ def test_finite_algebra_validation():
         FiniteAlgebra(2, {"op": (2, (0, 0, 0))})
     with pytest.raises(ValueError):
         FiniteAlgebra(2, {"op": (1, (2, 0))})
+
+
+def test_finite_algebra_leaves_its_argument_unchanged():
+    ops = {"meet": (2, [0, 0, 0, 1])}
+    algebra = FiniteAlgebra(2, ops)
+    assert algebra.operations == {"meet": (2, (0, 0, 0, 1))}
+    assert algebra.operations is not ops
+    assert ops == {"meet": (2, [0, 0, 0, 1])}
+    bad = {"meet": (2, [0, 0, 0, 1]), "bad": (1, [0, 2])}
+    with pytest.raises(ValueError, match="outside carrier"):
+        FiniteAlgebra(2, bad)
+    assert bad == {"meet": (2, [0, 0, 0, 1]), "bad": (1, [0, 2])}
 
 
 @pytest.mark.parametrize(
