@@ -23,20 +23,33 @@ class CarrierUnavailable(ValueError):
     """
 
 
+# The number of instances a sampled family draws.
+SAMPLE_SIZE = 2000
+
+
+def is_count(value, least: int = 0) -> bool:
+    """Whether value is an int (bool and float are not) of at least least."""
+    return type(value) is int and value >= least
+
+
+def is_index(value, size: int) -> bool:
+    """Whether value is an int (bool and float are not) in 0..size-1."""
+    return type(value) is int and 0 <= value < size
+
+
 @dataclass(frozen=True)
 class CheckPolicy:
     """How large an instance family may get before deterministic sampling."""
 
     exhaustive_threshold: int = 100_000
-    sample_size: int = 2000
     seed: int = 0
 
     def __post_init__(self) -> None:
-        # a sampled family that draws nothing would pass with 0 instances
-        for name, least in (("exhaustive_threshold", 0), ("sample_size", 1)):
-            value = getattr(self, name)
-            if type(value) is not int or value < least:
-                raise ValueError(f"{name} must be an int of at least {least}, got {value!r}")
+        if not is_count(self.exhaustive_threshold):
+            raise ValueError(
+                f"exhaustive_threshold must be an int of at least 0, "
+                f"got {self.exhaustive_threshold!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -109,7 +122,7 @@ def instance_stream(axes, policy: CheckPolicy, label: str):
     bits = [(a, n, n.bit_length()) for a, n in zip(axes, sizes)]
 
     def draw():
-        for _ in range(policy.sample_size):
+        for _ in range(SAMPLE_SIZE):
             values = []
             for a, n, k in bits:
                 r = getrandbits(k)

@@ -11,7 +11,10 @@ import itertools
 from dataclasses import dataclass
 from functools import partial
 
-from .checks import CarrierUnavailable, CheckPolicy, Group, Report, check_law, stage_carriers
+from .checks import (
+    CarrierUnavailable, CheckPolicy, Group, Report, check_law, is_count, stage_carriers
+)
+from .fin_cat import Interned
 
 
 class ContextError(ValueError):
@@ -34,24 +37,7 @@ _APPS: dict[str, dict[tuple, "App"]] = {}
 MEMO_TABLES = 1024
 
 
-class _Term:
-    """Immutable, hash-consed term node; ``==`` and hashing are identity."""
-
-    __slots__ = ()
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} terms are immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"{type(self).__name__} terms are immutable")
-
-    def __reduce__(self):
-        # copy, deepcopy and unpickling rebuild through the constructor,
-        # which hands back the interned term
-        return type(self), tuple(getattr(self, f) for f in self.__match_args__)
-
-
-class Var(_Term):
+class Var(Interned):
     """A variable; min_context is the smallest context it lives in.
 
     Terms are hash-consed: ``Var(i)`` returns the one variable with index i,
@@ -77,7 +63,7 @@ class Var(_Term):
         return f"x{self.index}"
 
 
-class App(_Term):
+class App(Interned):
     """An operator applied to argument terms.
 
     Hash-consed like ``Var``: ``App(op, args)`` returns the one term with
@@ -130,7 +116,7 @@ class Signature:
         for name, arity in operators.items():
             if not name or not isinstance(name, str):
                 raise ValueError(f"bad operator name {name!r}")
-            if type(arity) is not int or arity < 0:
+            if not is_count(arity):
                 raise ValueError(f"bad arity {arity!r} for operator {name!r}")
         self.operators = dict(sorted(operators.items()))
 
@@ -150,8 +136,8 @@ class Budget:
     max_arity: int = 3
 
     def __post_init__(self) -> None:
-        if self.max_depth < 0 or self.max_arity < 0:
-            raise ValueError("budget bounds must be non-negative")
+        if not (is_count(self.max_depth) and is_count(self.max_arity)):
+            raise ValueError("budget bounds must be non-negative ints")
 
 
 def _context_error(t: Term, context: int) -> ContextError:
@@ -234,7 +220,7 @@ class FreeClone(Clone):
         self._mu_old: dict[tuple[Term, ...], dict[Term, Term]] = {}
 
     def elems(self, n: int, budget: Budget | None = None) -> list[Term]:
-        depth = (budget or Budget()).max_depth
+        depth = (Budget() if budget is None else budget).max_depth
         layers = self._layers.setdefault(n, [[Var(i) for i in range(n)]])
         while len(layers) <= depth:
             d = len(layers)
@@ -303,7 +289,7 @@ class FiniteAlgebra:
 
     def __post_init__(self) -> None:
         k = self.carrier_size
-        if type(k) is not int or k < 1:
+        if not is_count(k, 1):
             raise ValueError("carrier must be a non-empty integer size")
         # tables are normalised in a copy, so the caller's dict stays as given
         operations = {}
@@ -496,13 +482,9 @@ def builtin_clone(name: str) -> Clone:
 
 
 def clone_laws_check(
-    clone: Clone,
-    budget: Budget | None = None,
-    policy: CheckPolicy | None = None,
+    clone: Clone, budget: Budget = Budget(), policy: CheckPolicy = CheckPolicy()
 ) -> Report:
     """Check associativity, projection and right identity of substitution."""
-    budget = budget or Budget()
-    policy = policy or CheckPolicy()
     report = Report()
     carriers = stage_carriers(lambda n: clone.elems(n, budget), budget.max_arity, report)
     mu = clone.mu
@@ -584,14 +566,11 @@ def theory_compose(clone: Clone, f: TheoryHom, g: TheoryHom) -> TheoryHom:
 def theory_laws_check(
     clone: Clone,
     bound: int = 3,
-    budget: Budget | None = None,
-    policy: CheckPolicy | None = None,
-    compose_fn=None,
+    budget: Budget = Budget(),
+    policy: CheckPolicy = CheckPolicy(),
+    compose_fn=theory_compose,
 ) -> Report:
     """Associativity and identity laws of theory composition up to bound."""
-    budget = budget or Budget()
-    policy = policy or CheckPolicy()
-    comp = compose_fn or theory_compose
     report = Report()
     carriers = stage_carriers(lambda n: clone.elems(n, budget), bound, report)
 
@@ -605,17 +584,17 @@ def theory_laws_check(
             if vals[: d + c] != prefix:
                 f = TheoryHom(c, d, vals[:d])
                 g = TheoryHom(b, c, vals[d : d + c])
-                fg = comp(clone, f, g)
+                fg = compose_fn(clone, f, g)
                 prefix = vals[: d + c]
             h = TheoryHom(a, b, vals[d + c :])
-            return comp(clone, fg, h), comp(clone, f, comp(clone, g, h))
+            return compose_fn(clone, fg, h), compose_fn(clone, f, compose_fn(clone, g, h))
 
         return sides
 
     def unit(m, n, *vals):
         f = TheoryHom(m, n, vals)
-        left = comp(clone, theory_identity(clone, n), f)
-        right = comp(clone, f, theory_identity(clone, m))
+        left = compose_fn(clone, theory_identity(clone, n), f)
+        right = compose_fn(clone, f, theory_identity(clone, m))
         return (left, right), (f, f)
 
     def homs(m, n):
@@ -634,13 +613,13 @@ def theory_laws_check(
 
 
 def enumerate_theory_homs(
-    clone: Clone, m: int, n: int, budget: Budget | None = None, *, limit: int
+    clone: Clone, m: int, n: int, budget: Budget = Budget(), *, limit: int
 ) -> tuple[int, list[TheoryHom]]:
     """The size of the hom-set m -> n and its first ``limit`` homs.
 
     Only the homs returned are built, so the size may be far beyond memory.
     """
-    carrier = list(clone.elems(m, budget or Budget()))
+    carrier = list(clone.elems(m, budget))
     combos = itertools.islice(itertools.product(carrier, repeat=n), limit)
     return len(carrier) ** n, [TheoryHom(m, n, combo) for combo in combos]
 
@@ -672,12 +651,10 @@ def clone_hom_check(
     h,
     src: Clone,
     dst: Clone,
-    budget: Budget | None = None,
-    policy: CheckPolicy | None = None,
+    budget: Budget = Budget(),
+    policy: CheckPolicy = CheckPolicy(),
 ) -> Report:
     """Check that the family h(m, -) preserves projections and substitution."""
-    budget = budget or Budget()
-    policy = policy or CheckPolicy()
     report = Report()
     carriers = stage_carriers(lambda n: src.elems(n, budget), budget.max_arity, report)
     for law, (names, families) in clone_hom_families(h, src, dst, carriers).items():

@@ -58,8 +58,7 @@ class ForgetfulAlgebra(SubstAlgebra):
         return m
 
 
-def standard_algebras(budget: Budget | None = None) -> dict[str, SubstAlgebra]:
-    budget = budget or Budget()
+def standard_algebras(budget: Budget = Budget()) -> dict[str, SubstAlgebra]:
     clones = standard_clones(max_arity=max(budget.max_arity, 4))
     algebras = {
         f"S({name})": s_functor(clone, budget) for name, clone in clones.items()

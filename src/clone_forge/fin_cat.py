@@ -25,7 +25,29 @@ _MAPS: dict = {}
 _INT = frozenset((int,))
 
 
-class FinMap:
+class Interned:
+    """Base of the hash-consed values, whose ``==`` and hashing are identity.
+
+    A subclass's constructor returns the one object for its arguments, which
+    ``__match_args__`` names, and sets its slots with ``object.__setattr__``
+    only when it first builds that object; the object is immutable after.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        # copy, deepcopy and unpickling rebuild through the constructor,
+        # which hands back the interned value
+        return type(self), tuple(getattr(self, f) for f in self.__match_args__)
+
+
+class FinMap(Interned):
     """A total function {0..dom-1} -> {0..cod-1} stored as a tuple of images.
 
     Maps are hash-consed: ``FinMap(dom, cod, table)`` returns the one map with
@@ -65,17 +87,6 @@ class FinMap:
             object.__setattr__(f, "table", table)
             f = _MAPS.setdefault(key, f)
         return f
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FinMap is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("FinMap is immutable")
-
-    def __reduce__(self):
-        # copy, deepcopy and unpickling rebuild through the constructor,
-        # which hands back the interned map
-        return FinMap, (self.dom, self.cod, self.table)
 
     def __call__(self, i: int) -> int:
         return self.table[i]

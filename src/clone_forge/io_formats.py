@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .checks import CheckPolicy
+from .checks import CheckPolicy, is_count, is_index
 from .clone import FiniteAlgebra, Signature
 from .fin_cat import FinMap, enumerate_maps
 from .presheaf_f import TruncatedPresheaf, check_functoriality
@@ -36,19 +36,17 @@ def _expect(cond: bool, message: str) -> None:
         raise SchemaError(message)
 
 
-def _is_int(value) -> bool:
-    """A JSON integer: Python counts true/false as ints, the schemas do not."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def load_signature(path) -> Signature:
     data = _load_json(path)
     _expect(isinstance(data, dict) and "operators" in data, f"{path}: expected an object with 'operators'")
     ops = data["operators"]
     _expect(isinstance(ops, dict), f"{path}: 'operators' must be an object")
     for name, arity in ops.items():
-        _expect(_is_int(arity) and arity >= 0, f"{path}: bad arity for {name!r}")
-    return Signature(ops)
+        _expect(is_count(arity), f"{path}: bad arity for {name!r}")
+    try:
+        return Signature(ops)
+    except ValueError as exc:
+        raise SchemaError(f"{path}: {exc}") from exc
 
 
 def dump_signature(sig: Signature) -> str:
@@ -62,7 +60,7 @@ def load_finite_algebra(path) -> FiniteAlgebra:
         f"{path}: expected an object with 'carrier' and 'operations'",
     )
     carrier = data["carrier"]
-    _expect(_is_int(carrier) and carrier >= 1, f"{path}: bad carrier size")
+    _expect(is_count(carrier, 1), f"{path}: bad carrier size")
     ops = {}
     _expect(isinstance(data["operations"], dict), f"{path}: 'operations' must be an object")
     for name, spec in data["operations"].items():
@@ -71,7 +69,7 @@ def load_finite_algebra(path) -> FiniteAlgebra:
             f"{path}: operation {name!r} needs 'arity' and 'table'",
         )
         arity, table = spec["arity"], spec["table"]
-        _expect(_is_int(arity) and arity >= 0, f"{path}: bad arity for {name!r}")
+        _expect(is_count(arity), f"{path}: bad arity for {name!r}")
         _expect(isinstance(table, list), f"{path}: bad table for {name!r}")
         ops[name] = (arity, tuple(table))
     try:
@@ -110,13 +108,13 @@ def _parse_truncated_presheaf(data, label: str) -> TruncatedPresheaf:
         f"{label}: expected 'bound', 'carriers', 'actions'",
     )
     bound = data["bound"]
-    _expect(_is_int(bound) and bound >= 0, f"{label}: bad bound")
+    _expect(is_count(bound), f"{label}: bad bound")
     sizes = data["carriers"]
     _expect(
         isinstance(sizes, list) and len(sizes) == bound + 1,
         f"{label}: 'carriers' must list stages 0..{bound}",
     )
-    _expect(all(_is_int(s) and s >= 0 for s in sizes), f"{label}: bad carrier size")
+    _expect(all(is_count(s) for s in sizes), f"{label}: bad carrier size")
     actions: dict[FinMap, tuple[int, ...]] = {}
     raw_actions = data["actions"]
     _expect(isinstance(raw_actions, dict), f"{label}: 'actions' must be an object")
@@ -140,7 +138,7 @@ def _parse_truncated_presheaf(data, label: str) -> TruncatedPresheaf:
                     f"{label}: table for {key!r}/{_table_key(f)!r} has wrong length",
                 )
                 _expect(
-                    all(_is_int(v) and 0 <= v < sizes[n] for v in raw),
+                    all(is_index(v, sizes[n]) for v in raw),
                     f"{label}: table for {key!r}/{_table_key(f)!r} escapes the carrier",
                 )
                 actions[f] = tuple(raw)

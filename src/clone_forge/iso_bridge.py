@@ -29,7 +29,7 @@ class CloneActionPresheaf(Presheaf):
     constantly and carrier elements are hashable values.
     """
 
-    def __init__(self, clone: Clone, budget: Budget | None = None):
+    def __init__(self, clone: Clone, budget: Budget = Budget()):
         self.clone = clone
         self.budget = budget
         self._cache: dict = {}
@@ -52,7 +52,7 @@ class CloneActionPresheaf(Presheaf):
 class CloneAlgebra(SubstAlgebra):
     """The substitution algebra carried by a clone."""
 
-    def __init__(self, clone: Clone, budget: Budget | None = None):
+    def __init__(self, clone: Clone, budget: Budget = Budget()):
         self.clone = clone
         self.base = CloneActionPresheaf(clone, budget)
         self._s_cache: dict = {}
@@ -73,7 +73,7 @@ class CloneAlgebra(SubstAlgebra):
         return hit
 
 
-def s_functor(clone: Clone, budget: Budget | None = None) -> CloneAlgebra:
+def s_functor(clone: Clone, budget: Budget = Budget()) -> CloneAlgebra:
     return CloneAlgebra(clone, budget)
 
 
@@ -152,8 +152,8 @@ def s_on_hom(
     h,
     src: Clone,
     dst: Clone,
-    budget: Budget | None = None,
-    policy: CheckPolicy | None = None,
+    budget: Budget = Budget(),
+    policy: CheckPolicy = CheckPolicy(),
 ) -> Report:
     """Certify a clone homomorphism family as an algebra homomorphism.
 
@@ -161,7 +161,6 @@ def s_on_hom(
     checks and the target-side algebra checks, so a broken family surfaces
     with its violated square rather than passing silently.
     """
-    budget = budget or Budget()
     report = clone_hom_check(h, src, dst, budget, policy)
     algebra_side = hom_check(
         h, s_functor(src, budget), s_functor(dst, budget), budget.max_arity, policy
@@ -174,8 +173,8 @@ def c_on_hom(
     src: SubstAlgebra,
     dst: SubstAlgebra,
     bound: int = 3,
-    budget: Budget | None = None,
-    policy: CheckPolicy | None = None,
+    budget: Budget = Budget(),
+    policy: CheckPolicy = CheckPolicy(),
 ) -> Report:
     """Certify an algebra homomorphism family as a clone homomorphism.
 
@@ -183,7 +182,6 @@ def c_on_hom(
     arity, and the first carrier of that clone it lacks lowers the arity,
     with a note.
     """
-    budget = budget or Budget()
     report = hom_check(h, src, dst, bound, policy)
     target = c_functor(dst)
     top = max(stage_carriers(lambda n: target.elems(n, budget), budget.max_arity, report))
@@ -198,16 +196,12 @@ def _identity(m, x):
 
 
 def roundtrip_clone(
-    clone: Clone,
-    budget: Budget | None = None,
-    policy: CheckPolicy | None = None,
+    clone: Clone, budget: Budget = Budget(), policy: CheckPolicy = CheckPolicy()
 ) -> Report:
     """Translate a clone to an algebra and back; demand equality on the nose.
 
     Beyond equal carriers, that is clone_hom_check's laws at the identity family.
     """
-    budget = budget or Budget()
-    policy = policy or CheckPolicy()
     back = c_functor(s_functor(clone, budget))
     report = Report()
     carriers = stage_carriers(lambda n: clone.elems(n, budget), budget.max_arity, report)
@@ -225,9 +219,7 @@ def roundtrip_clone(
 
 
 def roundtrip_alg(
-    algebra: SubstAlgebra,
-    bound: int = 3,
-    policy: CheckPolicy | None = None,
+    algebra: SubstAlgebra, bound: int = 3, policy: CheckPolicy = CheckPolicy()
 ) -> Report:
     """Translate an algebra to a clone and back; demand equality on the nose.
 
@@ -236,7 +228,6 @@ def roundtrip_alg(
     it lacks lowers the bound, with a note; on a stored algebra that is the
     first C_n whose stage 2n is not stored.
     """
-    policy = policy or CheckPolicy()
     back = s_functor(c_functor(algebra))
     report = Report()
     laws = hom_families(_identity, back, algebra, stage_carriers(back.base.set, bound, report))

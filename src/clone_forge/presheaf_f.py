@@ -280,13 +280,12 @@ def check_composition(
 
 
 def check_functoriality(
-    P: Presheaf, bound: int = 3, policy: CheckPolicy | None = None
+    P: Presheaf, bound: int = 3, policy: CheckPolicy = CheckPolicy()
 ) -> Report:
     """Identity and composition laws of the action, exhaustively up to bound.
 
     The first stage P cannot enumerate lowers the bound, with a note.
     """
-    policy = policy or CheckPolicy()
     report = Report()
     carriers = stage_carriers(P.set, bound, report)
     identities = identity_families(P, carriers)
@@ -419,7 +418,7 @@ def natural_sides(act, tables: dict, f: FinMap, *xs):
 
 
 def check_delta_laws(
-    P: Presheaf, bound: int = 3, policy: CheckPolicy | None = None
+    P: Presheaf, bound: int = 3, policy: CheckPolicy = CheckPolicy()
 ) -> Report:
     """All stage-wise laws of the shift monad on P.
 
@@ -439,7 +438,6 @@ def check_delta_laws(
     inverse are identities on the carrier, so each pair meets itself.  Both
     keep their names and counts, since reports pin them.
     """
-    policy = policy or CheckPolicy()
     report = Report()
     g = generators()
     C = stage_carriers(P.set, bound, report, reach=1)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 from functools import partial
 
-from .checks import CheckPolicy, Report, check_law, stage_carriers
+from .checks import CheckPolicy, Report, check_law, is_index, stage_carriers
 from .fin_cat import FinMap, enumerate_maps, old, shifted
 from .presheaf_f import (
     Presheaf,
@@ -85,7 +85,7 @@ class TableSubstAlgebra(SubstAlgebra):
             if any(not 0 <= v < cols for v in table) and cols > 0:
                 raise ValueError(f"substitution table at stage {m} escapes carrier")
             v = self.v_values.get(m)
-            if type(v) is not int or not 0 <= v < rows:
+            if not is_index(v, rows):
                 raise ValueError(f"variable at stage {m} missing, non-integer or out of range")
 
     def s_at(self, m, x, y):
@@ -96,13 +96,13 @@ class TableSubstAlgebra(SubstAlgebra):
         return self.v_values[m]
 
     def _check_stage(self, m: int) -> None:
-        if not _is_index(m, self.base.bound):
+        if not is_index(m, self.base.bound):
             raise ValueError(f"stage {m!r} outside 0..{self.base.bound - 1}")
 
     def with_s_entry(self, m: int, x: int, y: int, value: int) -> "TableSubstAlgebra":
         self._check_stage(m)
         sizes = self.base.carrier_sizes
-        if not (_is_index(x, sizes[m + 1]) and _is_index(y, sizes[m])):
+        if not (is_index(x, sizes[m + 1]) and is_index(y, sizes[m])):
             raise ValueError(f"position ({x!r},{y!r}) outside the stage-{m} substitution table")
         tables = {k: list(t) for k, t in self.s_tables.items()}
         tables[m][x * sizes[m] + y] = value
@@ -120,9 +120,9 @@ class TableSubstAlgebra(SubstAlgebra):
 
     def with_act_entry(self, f, x: int, value: int) -> "TableSubstAlgebra":
         row = self.base.table(f)
-        if not _is_index(x, len(row)):
+        if not is_index(x, len(row)):
             raise ValueError(f"position {x!r} outside the carrier of stage {f.dom}")
-        if not _is_index(value, self.base.carrier_sizes[f.cod]):
+        if not is_index(value, self.base.carrier_sizes[f.cod]):
             raise ValueError(f"action value {value!r} outside the carrier of stage {f.cod}")
         row = list(row)
         row[x] = value
@@ -135,11 +135,6 @@ class TableSubstAlgebra(SubstAlgebra):
             self.v_values,
             f"{self.name}/act[{f.dom}->{f.cod} {list(f.table)}]({x})={value}",
         )
-
-
-def _is_index(i, size: int) -> bool:
-    """Whether i is an int (bool and float are not) in 0..size-1."""
-    return type(i) is int and 0 <= i < size
 
 
 def truncate_algebra(
@@ -237,7 +232,7 @@ def substitution_families(alg: SubstAlgebra, A: dict[int, list], variables) -> d
 
 
 def check_presentation(
-    alg: SubstAlgebra, bound: int = 3, policy: CheckPolicy | None = None
+    alg: SubstAlgebra, bound: int = 3, policy: CheckPolicy = CheckPolicy()
 ) -> Report:
     """The seven equation families, exhaustively or sampled up to bound.
 
@@ -245,7 +240,6 @@ def check_presentation(
     associativity need two stages of headroom, naturality and the unit one.
     The first stage the base cannot enumerate lowers the bound, with a note.
     """
-    policy = policy or CheckPolicy()
     report = Report()
     A = stage_carriers(alg.base.set, bound, report)
     bound = len(A) - 1
@@ -282,7 +276,7 @@ def check_presentation(
 
 
 def check_diagrams(
-    alg: SubstAlgebra, bound: int = 3, policy: CheckPolicy | None = None
+    alg: SubstAlgebra, bound: int = 3, policy: CheckPolicy = CheckPolicy()
 ) -> Report:
     """The diagram presentation, compiled to stage-wise components.
 
@@ -299,7 +293,6 @@ def check_diagrams(
     a v-natural algebra the four are the equations' checks under the names
     of LAW_MAPPING.
     """
-    policy = policy or CheckPolicy()
     report = Report()
     A = stage_carriers(alg.base.set, bound, report)
     bound = len(A) - 1
@@ -324,7 +317,7 @@ def check_diagrams(
 
 
 def check_v_naturality(
-    alg: SubstAlgebra, bound: int = 3, policy: CheckPolicy | None = None
+    alg: SubstAlgebra, bound: int = 3, policy: CheckPolicy = CheckPolicy()
 ) -> Report:
     """The variable family commutes with shifted actions.
 
@@ -335,7 +328,6 @@ def check_v_naturality(
     v_m lives at stage m+1, so the law reads stages 0..bound; the first stage
     the base cannot enumerate lowers the bound, with a note.
     """
-    policy = policy or CheckPolicy()
     report = Report()
     bound = len(stage_carriers(alg.base.set, bound, report)) - 1
 
@@ -384,7 +376,7 @@ def hom_check(
     src: SubstAlgebra,
     dst: SubstAlgebra,
     bound: int = 3,
-    policy: CheckPolicy | None = None,
+    policy: CheckPolicy = CheckPolicy(),
 ) -> Report:
     """Naturality of the family h plus preservation of variables and s.
 
@@ -392,7 +384,6 @@ def hom_check(
     target cannot be read past its tables, so its stages are enumerated too;
     the first stage either one lacks lowers the bound, with a note.
     """
-    policy = policy or CheckPolicy()
     report = Report()
     if isinstance(dst.base, TruncatedPresheaf):
         bound = len(stage_carriers(dst.base.set, bound, report)) - 1

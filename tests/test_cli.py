@@ -277,6 +277,17 @@ def test_non_integer_input_exits_two(tmp_path, capsys, command, flag, payload, w
     assert main([command, flag, str(path)]) == EXIT_INPUT
 
 
+def test_an_empty_operator_name_exits_two(tmp_path, capsys):
+    # exit 1 would report a failed law
+    path = tmp_path / "sig.json"
+    path.write_text('{"operators": {"": 2}}')
+    code = main(["free-clone", "--signature", str(path)])
+    captured = capsys.readouterr()
+    assert code == EXIT_INPUT
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: bad operator name ''\n"
+
+
 def test_an_action_block_that_is_not_an_object_exits_two(tmp_path, capsys):
     data = _subst_payload()
     data["actions"]["1->1"] = [0]

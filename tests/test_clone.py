@@ -462,6 +462,25 @@ def test_signature_rejects_non_integer_arities(arity):
         Signature({"b": arity})
 
 
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"max_depth": 1.5},
+        {"max_arity": 2.5},
+        {"max_depth": True},
+        {"max_arity": True},
+        {"max_depth": "2"},
+        {"max_arity": "2"},
+        {"max_depth": -1},
+        {"max_arity": -1},
+    ],
+)
+def test_budget_rejects_what_is_not_a_count(fields):
+    # a float arity would crash in range(), a bool one would run at arity 1
+    with pytest.raises(ValueError, match="budget bounds must be non-negative"):
+        Budget(**fields)
+
+
 def test_builtin_initial_selects():
     initial = builtin_clone("initial")
     assert initial.mu(2, 3, 1, [0, 2]) == 2
