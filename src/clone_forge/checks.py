@@ -50,6 +50,8 @@ class CheckPolicy:
                 f"exhaustive_threshold must be an int of at least 0, "
                 f"got {self.exhaustive_threshold!r}"
             )
+        if type(self.seed) is not int:
+            raise ValueError(f"seed must be an int, got {self.seed!r}")
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import partial
 
 from .checks import (
-    CarrierUnavailable, CheckPolicy, Group, Report, check_law, is_count, stage_carriers
+    CarrierUnavailable, CheckPolicy, Group, Report, check_law, is_count, is_index, stage_carriers
 )
 from .fin_cat import Interned
 
@@ -49,6 +49,8 @@ class Var(Interned):
     __match_args__ = ("index",)
 
     def __new__(cls, index: int) -> "Var":
+        if type(index) is not int:  # a bool or a float would hit an int's entry
+            raise ContextError(f"variable index {index!r} is not an int")
         t = _VARS.get(index)
         if t is None:
             if index < 0:
@@ -181,7 +183,7 @@ def _subst(t: App, us: tuple[Term, ...], done: dict[Term, Term]) -> Term:
 
 def free_iota(m: int, i: int) -> Term:
     """The i-th variable in a context of m variables."""
-    if not 0 <= i < m:
+    if not is_index(i, m):
         raise ContextError(f"variable index {i} outside context of size {m}")
     return Var(i)
 
@@ -405,7 +407,7 @@ class FiniteClone(Clone):
         return r
 
     def iota(self, m, i):
-        if not 0 <= i < m:
+        if not is_index(i, m):
             raise ContextError(f"projection index {i} outside arity {m}")
         r = self._iota_memo.get((m, i))
         if r is None:
@@ -431,7 +433,7 @@ class InitialClone(Clone):
         return us[t]
 
     def iota(self, m, i):
-        if not 0 <= i < m:
+        if not is_index(i, m):
             raise ContextError(f"index {i} outside {m}")
         return i
 
@@ -446,7 +448,7 @@ class TerminalClone(Clone):
         return STAR
 
     def iota(self, m, i):
-        if not 0 <= i < m:
+        if not is_index(i, m):
             raise ContextError(f"index {i} outside {m}")
         return STAR
 
@@ -463,7 +465,7 @@ class ArrowClone(Clone):
         return STAR
 
     def iota(self, m, i):
-        if not 0 <= i < m:
+        if not is_index(i, m):
             raise ContextError(f"index {i} outside {m}")
         return STAR
 

@@ -2,9 +2,10 @@
 
 Serialized action tables are keyed by the comma-joined image table of each
 map, listed in lexicographic enumeration order; elements are 0-based indices
-into the stage carriers.  Loading validates shapes first and functoriality
-second, so a file that parses but misbehaves is rejected with the offending
-maps and element.
+into the stage carriers.  Loaders check the JSON shape, constructors the
+structure's shape (a SchemaError either way), and a stored presheaf is then
+checked for functoriality, so a file that parses but misbehaves is rejected
+with the offending maps and element.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .checks import CheckPolicy, is_count, is_index
+from .checks import CheckPolicy, is_count
 from .clone import FiniteAlgebra, Signature
 from .fin_cat import FinMap, enumerate_maps
 from .presheaf_f import TruncatedPresheaf, check_functoriality
@@ -36,17 +37,20 @@ def _expect(cond: bool, message: str) -> None:
         raise SchemaError(message)
 
 
+def _build(label: str, make, *args):
+    """make(*args), its ValueError raised as a SchemaError on the file."""
+    try:
+        return make(*args)
+    except ValueError as exc:
+        raise SchemaError(f"{label}: {exc}") from exc
+
+
 def load_signature(path) -> Signature:
     data = _load_json(path)
     _expect(isinstance(data, dict) and "operators" in data, f"{path}: expected an object with 'operators'")
     ops = data["operators"]
     _expect(isinstance(ops, dict), f"{path}: 'operators' must be an object")
-    for name, arity in ops.items():
-        _expect(is_count(arity), f"{path}: bad arity for {name!r}")
-    try:
-        return Signature(ops)
-    except ValueError as exc:
-        raise SchemaError(f"{path}: {exc}") from exc
+    return _build(path, Signature, ops)
 
 
 def dump_signature(sig: Signature) -> str:
@@ -59,8 +63,6 @@ def load_finite_algebra(path) -> FiniteAlgebra:
         isinstance(data, dict) and "carrier" in data and "operations" in data,
         f"{path}: expected an object with 'carrier' and 'operations'",
     )
-    carrier = data["carrier"]
-    _expect(is_count(carrier, 1), f"{path}: bad carrier size")
     ops = {}
     _expect(isinstance(data["operations"], dict), f"{path}: 'operations' must be an object")
     for name, spec in data["operations"].items():
@@ -68,14 +70,9 @@ def load_finite_algebra(path) -> FiniteAlgebra:
             isinstance(spec, dict) and "arity" in spec and "table" in spec,
             f"{path}: operation {name!r} needs 'arity' and 'table'",
         )
-        arity, table = spec["arity"], spec["table"]
-        _expect(is_count(arity), f"{path}: bad arity for {name!r}")
-        _expect(isinstance(table, list), f"{path}: bad table for {name!r}")
-        ops[name] = (arity, tuple(table))
-    try:
-        return FiniteAlgebra(carrier, ops)
-    except ValueError as exc:
-        raise SchemaError(f"{path}: {exc}") from exc
+        _expect(isinstance(spec["table"], list), f"{path}: bad table for {name!r}")
+        ops[name] = (spec["arity"], spec["table"])
+    return _build(path, FiniteAlgebra, data["carrier"], ops)
 
 
 def dump_finite_algebra(alg: FiniteAlgebra) -> str:
@@ -93,15 +90,6 @@ def _table_key(f: FinMap) -> str:
     return ",".join(str(v) for v in f.table)
 
 
-def _check_presheaf_functorial(P: TruncatedPresheaf, label: str) -> None:
-    report = check_functoriality(
-        P, P.bound, CheckPolicy(exhaustive_threshold=10_000_000)
-    )
-    for check in report.checks:
-        if not check.passed:
-            raise SchemaError(f"{label}: {check.law} fails: {check.counterexample}")
-
-
 def _parse_truncated_presheaf(data, label: str) -> TruncatedPresheaf:
     _expect(
         isinstance(data, dict) and "bound" in data and "carriers" in data and "actions" in data,
@@ -109,43 +97,38 @@ def _parse_truncated_presheaf(data, label: str) -> TruncatedPresheaf:
     )
     bound = data["bound"]
     _expect(is_count(bound), f"{label}: bad bound")
-    sizes = data["carriers"]
-    _expect(
-        isinstance(sizes, list) and len(sizes) == bound + 1,
-        f"{label}: 'carriers' must list stages 0..{bound}",
-    )
-    _expect(all(is_count(s) for s in sizes), f"{label}: bad carrier size")
-    actions: dict[FinMap, tuple[int, ...]] = {}
+    _expect(isinstance(data["carriers"], list), f"{label}: 'carriers' must be a list")
     raw_actions = data["actions"]
     _expect(isinstance(raw_actions, dict), f"{label}: 'actions' must be an object")
     stages = range(bound + 1)
-    extra = set(raw_actions) - {f"{m}->{n}" for m in stages for n in stages}
-    _expect(not extra, f"{label}: action blocks outside stages 0..{bound}: {sorted(extra)}")
+    actions: dict[FinMap, tuple[int, ...]] = {}
     for m in stages:
         for n in stages:
             key = f"{m}->{n}"
             block = raw_actions.get(key)
             _expect(block is not None, f"{label}: missing action block {key!r}")
             _expect(isinstance(block, dict), f"{label}: action block {key!r} must be an object")
-            for f in enumerate_maps(m, n):
-                raw = block.get(_table_key(f))
+            # each key is read as its map, so no block's maps are listed
+            for name, row in block.items():
+                try:
+                    f = FinMap(m, n, map(int, name.split(",")) if m else ())
+                except ValueError:
+                    f = None
                 _expect(
-                    raw is not None,
-                    f"{label}: block {key!r} missing map {_table_key(f)!r}",
+                    f and _table_key(f) == name, f"{label}: block {key!r} has unknown map {name!r}"
                 )
                 _expect(
-                    isinstance(raw, list) and len(raw) == sizes[m],
-                    f"{label}: table for {key!r}/{_table_key(f)!r} has wrong length",
+                    isinstance(row, list), f"{label}: table for {key!r}/{name!r} must be a list"
                 )
-                _expect(
-                    all(is_index(v, sizes[n]) for v in raw),
-                    f"{label}: table for {key!r}/{_table_key(f)!r} escapes the carrier",
-                )
-                actions[f] = tuple(raw)
-            extra = set(block) - {_table_key(f) for f in enumerate_maps(m, n)}
-            _expect(not extra, f"{label}: block {key!r} has unknown maps {sorted(extra)}")
-    P = TruncatedPresheaf(bound, sizes, actions)
-    _check_presheaf_functorial(P, label)
+                actions[f] = tuple(row)
+    # every block is there by now, so this set is no larger than the file
+    extra = set(raw_actions) - {f"{m}->{n}" for m in stages for n in stages}
+    _expect(not extra, f"{label}: action blocks outside stages 0..{bound}: {sorted(extra)}")
+    P = _build(label, TruncatedPresheaf, bound, data["carriers"], actions)
+    report = check_functoriality(P, P.bound, CheckPolicy(exhaustive_threshold=10_000_000))
+    for check in report.checks:
+        if not check.passed:
+            raise SchemaError(f"{label}: {check.law} fails: {check.counterexample}")
     return P
 
 
@@ -173,25 +156,15 @@ def load_subst_algebra(path) -> TableSubstAlgebra:
         isinstance(data.get("s"), dict) and isinstance(data.get("v"), dict),
         f"{path}: expected 's' and 'v' tables",
     )
-    for table in ("s", "v"):
-        extra = set(data[table]) - {str(m) for m in range(P.bound)}
-        _expect(
-            not extra, f"{path}: {table!r} stages outside 0..{P.bound - 1}: {sorted(extra)}"
-        )
-    s_tables = {}
-    v_values = {}
-    for m in range(P.bound):
-        s_raw = data["s"].get(str(m))
-        _expect(
-            isinstance(s_raw, list),
-            f"{path}: missing substitution table for stage {m}",
-        )
-        s_tables[m] = s_raw
-        v_values[m] = data["v"].get(str(m))
-    try:
-        return TableSubstAlgebra(P, s_tables, v_values, name=Path(str(path)).stem)
-    except ValueError as exc:
-        raise SchemaError(f"{path}: {exc}") from exc
+    # a stage outside 0..bound-1 keeps its key, for the constructor to reject
+    stages = {str(m): m for m in range(P.bound)}
+    s_tables = {stages.get(k, k): t for k, t in data["s"].items()}
+    v_values = {stages.get(k, k): v for k, v in data["v"].items()}
+    _expect(
+        all(isinstance(t, list) for t in s_tables.values()),
+        f"{path}: substitution tables must be lists",
+    )
+    return _build(path, TableSubstAlgebra, P, s_tables, v_values, Path(str(path)).stem)
 
 
 _LOADERS = {

@@ -20,6 +20,8 @@ from .checks import (
     Report,
     Row,
     check_law,
+    is_count,
+    is_index,
     stage_carriers,
 )
 from .fin_cat import (
@@ -80,10 +82,11 @@ class TruncatedPresheaf(Presheaf):
 
     actions holds one row per map f between stages 0..bound, keyed by the
     interned FinMap: entry i of actions[f] is the index of act(f, i).  The
-    rows never change after construction: a presheaf with another entry is
-    a new presheaf whose actions share every other row, as
-    ``TableSubstAlgebra.with_act_entry`` builds it.  So the composition law
-    is a property of the object, and ``check_composition`` keeps its
+    constructor checks this shape, and never a law, raising ``ValueError``.
+    The rows never change after construction: a presheaf with another
+    entry is a new presheaf whose actions share every other row, as
+    ``TableSubstAlgebra.with_act_entry`` builds it.  So the composition
+    law is a property of the object, and ``check_composition`` keeps its
     verdicts in ``composition_checks``.
     """
 
@@ -93,8 +96,22 @@ class TruncatedPresheaf(Presheaf):
         carrier_sizes: list[int],
         actions: dict[FinMap, tuple[int, ...]],
     ):
-        if bound < 0 or len(carrier_sizes) != bound + 1:
-            raise ValueError("carrier sizes must cover stages 0..bound")
+        if not (is_count(bound) and len(carrier_sizes) == bound + 1
+                and all(map(is_count, carrier_sizes))):
+            raise ValueError("carrier sizes must cover stages 0..bound, one count each")
+        rows = 0
+        for m, n in itertools.product(range(bound + 1), repeat=2):
+            for f in enumerate_maps(m, n):
+                row = actions.get(f)
+                if row is None:
+                    raise ValueError(f"missing map {f}")
+                if len(row) != carrier_sizes[m]:
+                    raise ValueError(f"row of {f} has {len(row)} entries, not {carrier_sizes[m]}")
+                if not all(is_index(v, carrier_sizes[n]) for v in row):
+                    raise ValueError(f"row of {f} has an entry outside the carrier of stage {n}")
+                rows += 1
+        if len(actions) != rows:
+            raise ValueError(f"actions hold maps outside stages 0..{bound}")
         self.bound = bound
         self.carrier_sizes = list(carrier_sizes)
         self.actions = actions

@@ -58,7 +58,9 @@ class TableSubstAlgebra(SubstAlgebra):
 
     s tables are row-major with the stage-(m+1) argument varying slowest;
     substitution is defined for stages m <= bound-1, as is the variable
-    family.
+    family.  The constructor checks the tables' shape, and no law: an s or
+    v stage outside 0..bound-1, a table of the wrong length or an entry
+    that is not an index into its carrier raises ``ValueError``.
     """
 
     def __init__(
@@ -73,6 +75,10 @@ class TableSubstAlgebra(SubstAlgebra):
         self.v_values = dict(v_values)
         self.name = name
         bound = presheaf.bound
+        for table, stages in (("s", self.s_tables), ("v", self.v_values)):
+            extra = sorted(set(stages) - set(range(bound)), key=str)
+            if extra:
+                raise ValueError(f"{table!r} stages outside 0..{bound - 1}: {extra}")
         for m in range(bound):
             rows = presheaf.carrier_sizes[m + 1]
             cols = presheaf.carrier_sizes[m]
@@ -122,8 +128,6 @@ class TableSubstAlgebra(SubstAlgebra):
         row = self.base.table(f)
         if not is_index(x, len(row)):
             raise ValueError(f"position {x!r} outside the carrier of stage {f.dom}")
-        if not is_index(value, self.base.carrier_sizes[f.cod]):
-            raise ValueError(f"action value {value!r} outside the carrier of stage {f.cod}")
         row = list(row)
         row[x] = value
         presheaf = TruncatedPresheaf(

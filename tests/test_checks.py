@@ -207,3 +207,12 @@ def test_sampled_draws_are_randrange_draws():
 def test_a_policy_that_would_pass_a_law_unchecked_is_rejected(fields):
     with pytest.raises(ValueError, match="must be an int of at least"):
         CheckPolicy(**fields)
+
+
+@pytest.mark.parametrize("seed", [True, 1.0, "1"])
+def test_a_seed_that_is_not_an_int_is_rejected(seed):
+    # True == 1 and the two hash alike, but they seed different samples, so
+    # a memo keyed by the policy would answer one with the other's check
+    with pytest.raises(ValueError, match="seed must be an int"):
+        CheckPolicy(seed=seed)
+    assert CheckPolicy(seed=-1).seed == -1

@@ -33,6 +33,7 @@ from clone_forge.clone import (
     theory_identity,
     theory_laws_check,
 )
+from clone_forge.iso_bridge import AlgebraClone, s_functor
 
 SIG = Signature({"b": 2, "e": 0})
 MEET = FiniteAlgebra(2, {"meet": (2, (0, 0, 0, 1))})
@@ -638,6 +639,35 @@ def test_warm_finite_iota_still_checks_its_index():
     for m, i in ((2, 2), (2, -1), (0, 0), (3, 5)):
         with pytest.raises(ContextError, match="outside arity"):
             meet.iota(m, i)
+
+
+# the six clones, each with projections at arity 2
+IOTA_CLONES = {
+    "free": lambda: FreeClone(SIG),
+    "finite": lambda: FiniteClone(MEET, 3),
+    "initial": InitialClone,
+    "terminal": lambda: builtin_clone("terminal"),
+    "arrow": lambda: builtin_clone("arrow"),
+    "algebra": lambda: AlgebraClone(s_functor(builtin_clone("initial"))),
+}
+
+
+@pytest.mark.parametrize("index", [0.5, True, -1, 2])
+@pytest.mark.parametrize("make", IOTA_CLONES.values(), ids=IOTA_CLONES)
+def test_iota_rejects_an_index_outside_the_arity(make, index):
+    # a bool or float index passed the range check: the free clone returned
+    # x0.5, the finite clone a table of floats, the built-ins 0.5 or *
+    with pytest.raises(ValueError, match="outside"):
+        make().iota(2, index)
+
+
+@pytest.mark.parametrize("index", [1.5, True, -1])
+def test_a_variable_index_is_a_non_negative_int(index):
+    # True hashes like 1, so it would have been interned as x1's entry
+    x1 = Var(1)
+    with pytest.raises(ContextError):
+        Var(index)
+    assert Var(1) is x1 and repr(x1) == "x1"
 
 
 def test_finite_mu_matches_row_major_reference():

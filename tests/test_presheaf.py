@@ -459,6 +459,31 @@ def test_truncated_presheaf_needs_one_carrier_size_per_stage(bound, sizes):
         TruncatedPresheaf(bound, sizes, {})
 
 
+# (id, an edit of the actions of S(initial)@3 that breaks their shape and
+# names no law, the error's message).  A bool entry hashes and compares like
+# 1, so every law checker passed that presheaf, while its dump did not load
+STAGE_2_TO_3 = FinMap(2, 3, (0, 1))
+MALFORMED_ACTIONS = [
+    ("entry-True", lambda a: {**a, STAGE_2_TO_3: (0, True)}, "outside the carrier of stage 3"),
+    ("entry-1.0", lambda a: {**a, STAGE_2_TO_3: (0, 1.0)}, "outside the carrier of stage 3"),
+    ("entry-minus-1", lambda a: {**a, STAGE_2_TO_3: (0, -1)}, "outside the carrier of stage 3"),
+    ("entry-3", lambda a: {**a, STAGE_2_TO_3: (0, 3)}, "outside the carrier of stage 3"),
+    ("short-row", lambda a: {**a, STAGE_2_TO_3: (0,)}, "has 1 entries, not 2"),
+    ("missing-map", lambda a: {g: r for g, r in a.items() if g != STAGE_2_TO_3}, "missing map"),
+    ("map-past-bound", lambda a: {**a, FinMap(1, 4, (0,)): (0,)}, "outside stages 0..3"),
+]
+
+
+@pytest.mark.parametrize(
+    "edit, message", [c[1:] for c in MALFORMED_ACTIONS], ids=[c[0] for c in MALFORMED_ACTIONS]
+)
+def test_a_stored_presheaf_checks_its_shape(edit, message):
+    P = truncate_presheaf(s_functor(builtin_clone("initial")).base, 3)
+    assert P.carrier_sizes == [0, 1, 2, 3]
+    with pytest.raises(ValueError, match=message):
+        TruncatedPresheaf(3, P.carrier_sizes, edit(P.actions))
+
+
 def test_truncated_checks_note_incompleteness():
     trunc = truncate_presheaf(representable_V(), 2)
     report = check_functoriality(trunc, 5)

@@ -317,6 +317,17 @@ def test_table_algebra_validates_shapes():
         table.with_s_entry(2, 0, 0, 3)
 
 
+@pytest.mark.parametrize("table", ["s", "v"])
+def test_table_algebra_rejects_a_stage_past_its_tables(table):
+    # a table at stage bound would go unread, and the algebra's dump would
+    # not load
+    alg = truncate_algebra(initial_algebra(), 3)
+    tables = {"s": dict(alg.s_tables), "v": dict(alg.v_values)}
+    tables[table][3] = tables[table][2]
+    with pytest.raises(ValueError, match=rf"'{table}' stages outside 0\.\.2: \[3\]"):
+        TableSubstAlgebra(alg.base, tables["s"], tables["v"])
+
+
 @pytest.mark.parametrize("value", [True, False, 0.0, 0.5, "0", None])
 def test_table_algebra_rejects_non_integer_entries(value):
     # bool and float entries would pass the range checks; "0" and None
