@@ -148,6 +148,12 @@ def _context_error(t: Term, context: int) -> ContextError:
     )
 
 
+def check_projection(m: int, i: int) -> None:
+    """Raise ContextError unless i indexes a projection at arity m."""
+    if not is_index(i, m):
+        raise ContextError(f"projection index {i!r} outside arity {m}")
+
+
 def _check_substitution(m: int, n: int, t: Term, us: tuple[Term, ...]) -> None:
     if len(us) != m:
         raise ContextError(f"expected {m} substituends, got {len(us)}")
@@ -183,8 +189,7 @@ def _subst(t: App, us: tuple[Term, ...], done: dict[Term, Term]) -> Term:
 
 def free_iota(m: int, i: int) -> Term:
     """The i-th variable in a context of m variables."""
-    if not is_index(i, m):
-        raise ContextError(f"variable index {i} outside context of size {m}")
+    check_projection(m, i)
     return Var(i)
 
 
@@ -245,15 +250,8 @@ class FreeClone(Clone):
         return [t for layer in layers[: depth + 1] for t in layer]
 
     def mu(self, m, n, t, us):
-        # _check_substitution's checks, inline; free_mu is the reference
         us = tuple(us)
-        if len(us) != m:
-            raise ContextError(f"expected {m} substituends, got {len(us)}")
-        if t.min_context > m:
-            raise _context_error(t, m)
-        for u in us:
-            if u.min_context > n:
-                raise _context_error(u, n)
+        _check_substitution(m, n, t, us)
         if type(t) is Var:
             return us[t.index]
         if t.min_context == 0:
@@ -297,12 +295,15 @@ class FiniteAlgebra:
         operations = {}
         for name, (arity, table) in self.operations.items():
             table = tuple(table)
-            # bool and float entries would pass the range checks below
+            # a bool or float is named as such, not as out of range
             if type(arity) is not int or any(type(v) is not int for v in table):
                 raise ValueError(f"operation {name!r}: non-integer arity or table entry")
-            if arity < 0 or len(table) != k**arity:
+            # for k >= 2, k**arity has more than arity bits: a longer arity is
+            # rejected before the power is formed
+            if (not is_count(arity) or (k > 1 and arity >= len(table).bit_length())
+                    or len(table) != k**arity):
                 raise ValueError(f"operation {name!r}: table does not match arity")
-            if any(not 0 <= v < k for v in table):
+            if not all(is_index(v, k) for v in table):
                 raise ValueError(f"operation {name!r}: value outside carrier")
             operations[name] = (arity, table)
         self.operations = operations
@@ -336,7 +337,6 @@ class FiniteClone(Clone):
         self._mu_memo: dict[tuple, tuple[int, ...]] = {}
         # row indices of the columns of us at arity n, keyed by (n, us)
         self._columns_memo: dict[tuple, list[int]] = {}
-        self._iota_memo: dict[tuple[int, int], tuple[int, ...]] = {}
 
     def elems(self, n: int, budget: Budget | None = None) -> list[tuple[int, ...]]:
         if n > self.max_arity:
@@ -407,14 +407,10 @@ class FiniteClone(Clone):
         return r
 
     def iota(self, m, i):
-        if not is_index(i, m):
-            raise ContextError(f"projection index {i} outside arity {m}")
-        r = self._iota_memo.get((m, i))
-        if r is None:
-            k = self.algebra.carrier_size
-            stride = k ** (m - 1 - i)
-            r = self._iota_memo[m, i] = tuple((j // stride) % k for j in range(k**m))
-        return r
+        check_projection(m, i)
+        k = self.algebra.carrier_size
+        stride = k ** (m - 1 - i)
+        return tuple((j // stride) % k for j in range(k**m))
 
 
 STAR = "*"
@@ -433,8 +429,7 @@ class InitialClone(Clone):
         return us[t]
 
     def iota(self, m, i):
-        if not is_index(i, m):
-            raise ContextError(f"index {i} outside {m}")
+        check_projection(m, i)
         return i
 
 
@@ -448,8 +443,7 @@ class TerminalClone(Clone):
         return STAR
 
     def iota(self, m, i):
-        if not is_index(i, m):
-            raise ContextError(f"index {i} outside {m}")
+        check_projection(m, i)
         return STAR
 
 
@@ -465,8 +459,7 @@ class ArrowClone(Clone):
         return STAR
 
     def iota(self, m, i):
-        if not is_index(i, m):
-            raise ContextError(f"index {i} outside {m}")
+        check_projection(m, i)
         return STAR
 
 

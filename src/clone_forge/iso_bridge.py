@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import partial
 
-from .checks import CheckPolicy, Report, check_law, is_index, stage_carriers
-from .clone import Budget, Clone, clone_hom_check, clone_hom_families
+from .checks import CheckPolicy, Report, check_law, stage_carriers
+from .clone import Budget, Clone, check_projection, clone_hom_check, clone_hom_families
 from .fin_cat import FinMap
 from .presheaf_f import Presheaf, StageRangeError, TruncatedPresheaf
 from .subst_algebra import SubstAlgebra, hom_check, hom_families, renamed_variable
@@ -134,8 +134,7 @@ class AlgebraClone(Clone):
         return list(base.set(n))
 
     def iota(self, m, i):
-        if not is_index(i, m):
-            raise ValueError(f"projection index {i} outside arity {m}")
+        check_projection(m, i)
         return renamed_variable(self.algebra, m, i)
 
     def mu(self, m, n, t, us):

@@ -83,9 +83,9 @@ class TruncatedPresheaf(Presheaf):
     actions holds one row per map f between stages 0..bound, keyed by the
     interned FinMap: entry i of actions[f] is the index of act(f, i).  The
     constructor checks this shape, and never a law, raising ``ValueError``.
-    The rows never change after construction: a presheaf with another
-    entry is a new presheaf whose actions share every other row, as
-    ``TableSubstAlgebra.with_act_entry`` builds it.  So the composition
+    The rows never change after construction: it keeps a copy of actions,
+    and a presheaf with another entry is a new presheaf sharing every other
+    row, as ``TableSubstAlgebra.with_act_entry`` builds it.  So the composition
     law is a property of the object, and ``check_composition`` keeps its
     verdicts in ``composition_checks``.
     """
@@ -114,7 +114,7 @@ class TruncatedPresheaf(Presheaf):
             raise ValueError(f"actions hold maps outside stages 0..{bound}")
         self.bound = bound
         self.carrier_sizes = list(carrier_sizes)
-        self.actions = actions
+        self.actions = dict(actions)
         self.composition_checks: dict = {}
 
     def set(self, m):

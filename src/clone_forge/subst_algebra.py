@@ -85,10 +85,10 @@ class TableSubstAlgebra(SubstAlgebra):
             table = self.s_tables.get(m)
             if table is None or len(table) != rows * cols:
                 raise ValueError(f"substitution table at stage {m} has wrong shape")
-            # bool and float entries would pass the range checks below
+            # a bool or float entry is named as such, not as out of range
             if any(type(v) is not int for v in table):
                 raise ValueError(f"substitution table at stage {m} has a non-integer entry")
-            if any(not 0 <= v < cols for v in table) and cols > 0:
+            if not all(is_index(v, cols) for v in table):
                 raise ValueError(f"substitution table at stage {m} escapes carrier")
             v = self.v_values.get(m)
             if not is_index(v, rows):
@@ -252,24 +252,14 @@ def check_presentation(
     # v_0 renamed into stage m+1, the variable the equations read at stage m
     nus = {m: renamed_variable(alg, m + 1, m) for m in range(bound)}
 
-    def naturality(m, n):
-        # a sweep varies y fastest, so act(shifted(f), x) is kept for the last (f, x)
-        prefix = fx = None
-
-        def sides(f, x, y):
-            nonlocal prefix, fx
-            if (f, x) != prefix:
-                fx = act(shifted(f), x)
-                prefix = (f, x)
-            return act(f, s_at(m, x, y)), s_at(n, fx, act(f, y))
-
-        return sides
+    def naturality(m, n, f, x, y):
+        return act(f, s_at(m, x, y)), s_at(n, act(shifted(f), x), act(f, y))
 
     report.checks.append(check_composition(alg.base, "act-compose", A, policy))
     identities = identity_families(alg.base, A)
     report.checks.append(check_law("act-identity", policy, "m x lhs", identities))
     report.checks.append(check_law("naturality", policy, "f x y lhs rhs", (
-        (f"{m}->{n}", (), [enumerate_maps(m, n), A[m + 1], A[m]], naturality(m, n))
+        (f"{m}->{n}", (), [enumerate_maps(m, n), A[m + 1], A[m]], partial(naturality, m, n))
         for m, n in itertools.product(range(bound), repeat=2)
     )))
     laws = substitution_families(alg, A, nus)

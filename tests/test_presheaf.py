@@ -484,6 +484,16 @@ def test_a_stored_presheaf_checks_its_shape(edit, message):
         TruncatedPresheaf(3, P.carrier_sizes, edit(P.actions))
 
 
+def test_a_stored_presheaf_keeps_its_own_actions():
+    # an edit of the caller's dict after construction would undo the shape
+    # check and the composition_checks memo
+    P = truncate_presheaf(s_functor(builtin_clone("initial")).base, 3)
+    d = dict(P.actions)
+    Q = TruncatedPresheaf(3, P.carrier_sizes, d)
+    d[STAGE_2_TO_3] = (0, True)  # equal to the row (0, 1), so compare the object
+    assert Q.table(STAGE_2_TO_3) is P.table(STAGE_2_TO_3)
+
+
 def test_truncated_checks_note_incompleteness():
     trunc = truncate_presheaf(representable_V(), 2)
     report = check_functoriality(trunc, 5)
