@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """Run each job of the demo alone and print its CPU time, peak RSS and instances.
 
-Each job of ``demo.demo_jobs`` runs in its own forked child, one child at a
-time, with the cyclic garbage collector off as in the demo's workers.  A
-job is named by its first section.  CPU is the child's user plus system
-time; peak RSS is the child's high-water mark, which, as in a demo worker,
+Each job of ``demo.demo_jobs`` runs alone through ``demo.run_jobs``, so in
+its own forked child with the cyclic garbage collector off, as in the demo,
+one child at a time.  A job is named by its first section.  CPU is the child's user plus system
+time; peak RSS is the child's high-water mark, which, as in a demo child,
 counts the pages it shares with this process after the fork.  The flags are
 the demo's, at the demo's defaults.
 
@@ -16,24 +16,19 @@ RSS.  A single run's CPU moves by tens of percent on a shared machine.
 """
 
 import argparse
-import gc
-import json
-import os
 import resource
 import statistics
 import sys
-import traceback
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from clone_forge.cli import RunConfig, _budget, _policy
-from clone_forge.demo import demo_jobs
+from clone_forge.demo import Job, demo_jobs, run_jobs
 
 
 def _measure(job) -> dict:
     """Run job in this process; its first section's name, CPU s, peak MB and instances."""
-    gc.disable()
     sections = job.fn(*job.args)
     usage = resource.getrusage(resource.RUSAGE_SELF)
     return {
@@ -45,26 +40,8 @@ def _measure(job) -> dict:
 
 
 def run_alone(job) -> dict:
-    """Run job in one forked child and return what _measure reported there."""
-    read_end, write_end = os.pipe()
-    pid = os.fork()
-    if pid == 0:
-        os.close(read_end)
-        # the child must end here, never return into the parent's loop
-        try:
-            with os.fdopen(write_end, "w") as out:
-                json.dump(_measure(job), out)
-        except BaseException:
-            traceback.print_exc()
-            os._exit(1)
-        os._exit(0)
-    os.close(write_end)
-    with os.fdopen(read_end) as result:
-        text = result.read()
-    _, status = os.waitpid(pid, 0)
-    if os.waitstatus_to_exitcode(status) != 0:
-        raise RuntimeError(f"job {job.fn.__name__}{job.args} failed in its child")
-    return json.loads(text)
+    """Run job in one forked child, as the demo does, and return what _measure reported there."""
+    return run_jobs([Job(_measure, (job,))])[0]
 
 
 def main() -> int:

@@ -32,8 +32,8 @@ _APPS: dict[str, dict[tuple, "App"]] = {}
 # (scripts/demo_jobs.py, Python 3.11, x86-64): peak RSS 39.5 / 40.3 / 44.1 /
 # 72.8 MB and 1.82 / 1.51 / 1.39 / 1.27 million _subst calls at N = 256 /
 # 1,024 / 4,096 / unbounded; its CPU time and the demo's wall time did not
-# move beyond the run-to-run spread.  The demo's peak RSS read 47.8 MB in
-# every run at 1,024 and 47.8-49.4 MB at 2,048 and 4,096.
+# move beyond the run-to-run spread.  Each demo job runs in its own child,
+# and this job is the largest, so at 1,024 the demo peaks at about 40.6 MB.
 MEMO_TABLES = 1024
 
 

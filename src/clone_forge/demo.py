@@ -3,15 +3,14 @@
 The demo checks each presentation of the corpus theories in its own
 sections, and no section reads another's result.  So the sections are split
 into jobs; each job builds its own inputs from the corpus and returns its
-``(section, Report)`` pairs.  A job is a module-level function plus plain
-arguments, so it pickles under any multiprocessing start method.  Jobs are
-handed to worker processes in job order, which is the report's section
-order, and their results are put back in that order: stdout does not depend
-on the number of workers or on which job finishes first.
-
-Workers are forked from the parent, which has already imported everything a
-job needs, and each one is tied to the parent's life: on Linux, a parent
-killed by any signal takes its workers with it.
+``(section, Report)`` pairs.  Each job runs in its own child, forked from
+the parent, which has already imported everything a job needs; the
+children start in job order, which is the report's section order, and
+their pickled results are put back in that order: stdout does not depend
+on the number of CPUs or on which job finishes first.  What a job builds
+(interned terms, memo tables, caches) dies with its child, so the demo's
+memory peaks at its largest job.  Each child is tied to the parent's life:
+on Linux, a parent killed by any signal takes its children with it.
 """
 
 from __future__ import annotations
@@ -157,20 +156,18 @@ def usable_cpus() -> int:
 
 
 def _end_with_parent(parent: int) -> None:
-    """Worker initializer: the worker ends when the process that forked it does.
+    """Child setup: the child ends when the process that forked it does.
 
-    On Linux the kernel sends the worker SIGKILL when its parent ends, by
+    On Linux the kernel sends the child SIGKILL when its parent ends, by
     whatever signal.  A parent that ended before this ran is no longer the
-    worker's parent, so the worker exits at once.
+    child's parent, so the child exits at once.
     """
-    # a job's interned terms live until the worker ends by os._exit, and
-    # they and its memo tables hold no cycles to free (free-term
-    # substitution builds none), so full collections would only walk that
-    # heap again and again
+    # what a job builds lives until its child ends by os._exit and holds no
+    # cycles to free (free-term substitution builds none), so full
+    # collections would only walk that heap again and again
     gc.disable()
     if sys.platform.startswith("linux"):
         import ctypes
-
         prctl = ctypes.CDLL(None).prctl
         prctl.argtypes = [ctypes.c_int, ctypes.c_ulong]
         prctl.restype = ctypes.c_int
@@ -179,31 +176,72 @@ def _end_with_parent(parent: int) -> None:
         os._exit(1)
 
 
+def _child(job: Job, parent: int, write_end: int) -> None:
+    """In a forked child: run job, write its pickled outcome and end by os._exit."""
+    import pickle  # run_jobs has loaded it
+    try:
+        _end_with_parent(parent)
+        try:
+            outcome = (True, job.fn(*job.args), None)
+        except Exception as exc:
+            import traceback
+            outcome = (False, exc, traceback.format_exc())
+        with open(write_end, "wb") as out:
+            pickle.dump(outcome, out)
+        os._exit(0)
+    except BaseException:
+        sys.excepthook(*sys.exc_info())
+    finally:
+        os._exit(1)
+
+
 def run_jobs(jobs: list[Job]) -> list:
-    """Run ``jobs`` in worker processes, submitted in order; results come in job order.
+    """Run each of ``jobs`` in its own forked child; results come in job order.
 
-    There is one worker per usable CPU, at most one per job.  A job's
-    exception re-raises here with its own type; a worker that dies raises
-    ``concurrent.futures.process.BrokenProcessPool``.
+    At most ``usable_cpus()`` children run at once, started in job order.  A
+    job's exception re-raises here with its own type; a child that ends
+    without a result raises ``BrokenProcessPool``.  Each child is reaped by pid.
     """
-    # imported here, so that importing clone_forge does not load the pool
-    import multiprocessing
-    from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
-
-    workers = min(usable_cpus(), len(jobs))
-    # fork: workers keep the parent's imports and end by os._exit.  The pool
-    # forks them all at the first submit, before it starts its own thread.
-    context = multiprocessing.get_context("fork")
-    with ProcessPoolExecutor(
-        workers, mp_context=context, initializer=_end_with_parent, initargs=(os.getpid(),)
-    ) as pool:
-        futures = [pool.submit(job.fn, *job.args) for job in jobs]
-        done, pending = wait(futures, return_when=FIRST_EXCEPTION)
-        if pending:  # a job raised: drop the queued jobs and re-raise
-            for future in pending:
-                future.cancel()
-            next(f for f in done if f.exception() is not None).result()
-        return [future.result() for future in futures]
+    # imported here, not by the other commands; ctypes once for every child
+    import ctypes  # noqa: F401
+    import pickle
+    import selectors
+    parent, slots = os.getpid(), usable_cpus()
+    results = [None] * len(jobs)
+    waiting = iter(enumerate(jobs))
+    running: dict[int, tuple[int, int, list]] = {}  # read end: job, pid, bytes read
+    with selectors.DefaultSelector() as selector:
+        try:
+            while True:
+                while len(running) < slots and (nxt := next(waiting, None)):
+                    read_end, write_end = os.pipe()
+                    if (pid := os.fork()) == 0:
+                        _child(nxt[1], parent, write_end)
+                    os.close(write_end)
+                    running[read_end] = (nxt[0], pid, [])
+                    selector.register(read_end, selectors.EVENT_READ)
+                if not running:
+                    return results
+                for key, _ in selector.select():
+                    index, pid, chunks = running[key.fd]
+                    if chunk := os.read(key.fd, 1 << 16):
+                        chunks.append(chunk)
+                        continue
+                    selector.unregister(key.fd)
+                    os.close(key.fd)
+                    del running[key.fd]
+                    if os.waitpid(pid, 0)[1] != 0:
+                        from concurrent.futures.process import BrokenProcessPool
+                        raise BrokenProcessPool(f"job {index}'s child ended without a result")
+                    ok, value, child_traceback = pickle.loads(b"".join(chunks))
+                    if not ok:
+                        raise value from RuntimeError(f"in the child:\n{child_traceback}")
+                    results[index] = value
+        finally:  # a job raised, a child broke or this process was interrupted
+            for read_end, (_, pid, _) in running.items():
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                os.close(read_end)
 
 
 def run(bound: int, budget: Budget, policy: CheckPolicy):

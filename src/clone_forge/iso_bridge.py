@@ -10,6 +10,7 @@ down on clones with non-commutative operators.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, replace
 from functools import partial
 
@@ -24,9 +25,9 @@ class CloneActionPresheaf(Presheaf):
     """Clone carriers with the variable-renaming action.
 
     act(f, t) substitutes into t the projections that f picks.  Those images
-    depend on the map alone, so they are kept per map; results are kept per
-    (map, element), since the check loops revisit the same renamings
-    constantly and carrier elements are hashable values.
+    depend on the map alone, so they are kept per map; results are kept as
+    _cache[f][t], with no key tuple per entry or per hit, since the check
+    loops revisit the same renamings constantly.
     """
 
     def __init__(self, clone: Clone, budget: Budget = Budget()):
@@ -39,18 +40,18 @@ class CloneActionPresheaf(Presheaf):
         return list(self.clone.elems(m, self.budget))
 
     def act(self, f, t):
-        key = (f, t)
-        hit = self._cache.get(key)
+        row = self._cache.get(f)
+        if row is None:
+            self._images[f] = tuple(self.clone.iota(f.cod, j) for j in f.table)
+            row = self._cache[f] = {}
+        hit = row.get(t)
         if hit is None:
-            images = self._images.get(f)
-            if images is None:
-                images = self._images[f] = tuple(self.clone.iota(f.cod, j) for j in f.table)
-            hit = self._cache[key] = self.clone.mu(f.dom, f.cod, t, images)
+            hit = row[t] = self.clone.mu(f.dom, f.cod, t, self._images[f])
         return hit
 
 
 class CloneAlgebra(SubstAlgebra):
-    """The substitution algebra carried by a clone."""
+    """The substitution algebra carried by a clone; s_at keeps _s_cache[m][y][x]."""
 
     def __init__(self, clone: Clone, budget: Budget = Budget()):
         self.clone = clone
@@ -63,13 +64,14 @@ class CloneAlgebra(SubstAlgebra):
         return self.clone.iota(m + 1, m)
 
     def s_at(self, m, x, y):
-        key = (m, x, y)
-        hit = self._s_cache.get(key)
+        rows = self._s_cache.get(m)
+        if rows is None:
+            self._variables[m] = tuple(self.clone.iota(m, i) for i in range(m))
+            rows = self._s_cache[m] = defaultdict(dict)
+        row = rows[y]
+        hit = row.get(x)
         if hit is None:
-            variables = self._variables.get(m)
-            if variables is None:
-                variables = self._variables[m] = tuple(self.clone.iota(m, i) for i in range(m))
-            hit = self._s_cache[key] = self.clone.mu(m + 1, m, x, variables + (y,))
+            hit = row[x] = self.clone.mu(m + 1, m, x, self._variables[m] + (y,))
         return hit
 
 

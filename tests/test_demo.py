@@ -1,10 +1,10 @@
-"""The demo's job runner: ordering, errors and worker count, on cheap jobs.
+"""The demo's job runner: ordering, errors, fresh children and their count, on cheap jobs.
 
-Every pool here has at most two workers.  Job functions live in this module,
-so worker processes import them by name.
+At most two children run at once here, except in the count test's sleeping
+jobs.  Job functions live in this module, so the commands run in a
+subprocess import them by name.
 """
 
-import concurrent.futures
 import contextlib
 import os
 import signal
@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from clone_forge import demo
+from clone_forge import clone, demo
 from clone_forge.cli import EXIT_INPUT, main
 from clone_forge.demo import Job
 from clone_forge.presheaf_f import StageRangeError
@@ -37,6 +37,25 @@ def pid_then_sleep(directory):
     (Path(directory) / str(os.getpid())).touch()
     time.sleep(30)
     return []
+
+
+def count_running(directory):
+    """Mark this job running for a while; how many jobs were marked running then."""
+    mark = Path(directory) / str(os.getpid())
+    mark.touch()
+    time.sleep(0.5)
+    count = len(list(Path(directory).iterdir()))
+    mark.unlink()
+    return count
+
+
+def intern_zz():
+    clone.App("zz", ())
+    return zz_interned()
+
+
+def zz_interned():
+    return "zz" in clone._APPS
 
 
 def running(pid):
@@ -118,21 +137,24 @@ def test_no_worker_outlives_a_killed_demo(tmp_path, sig):
 
 
 @pytest.mark.parametrize("cpus, jobs, workers", [(1, 3, 1), (2, 3, 2), (8, 2, 2), (8, 19, 8)])
-def test_worker_count_is_the_usable_cpus_capped_at_the_jobs(monkeypatch, cpus, jobs, workers):
-    seen = []
-
-    class NoPool(Exception):
-        pass
-
-    def record(max_workers, mp_context, initializer, initargs):
-        seen.append(max_workers)
-        raise NoPool
-
+def test_worker_count_is_the_usable_cpus_capped_at_the_jobs(monkeypatch, tmp_path, cpus, jobs, workers):
+    # each job counts the jobs running beside it, itself included
     monkeypatch.setattr(demo, "usable_cpus", lambda: cpus)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", record)
-    with pytest.raises(NoPool):
-        demo.run_jobs([Job(nap_then, (0.0, i)) for i in range(jobs)])
-    assert seen == [workers]
+    counts = demo.run_jobs([Job(count_running, (str(tmp_path),)) for _ in range(jobs)])
+    assert max(counts) == workers
+
+
+def test_each_job_runs_in_a_fresh_child(monkeypatch):
+    monkeypatch.setattr(demo, "usable_cpus", lambda: 1)
+    pids = demo.run_jobs([Job(os.getpid, ())] * 3)
+    assert len(set(pids)) == 3
+    assert os.getpid() not in pids
+
+
+def test_a_job_does_not_see_the_terms_of_an_earlier_job(monkeypatch):
+    monkeypatch.setattr(demo, "usable_cpus", lambda: 1)
+    assert "zz" not in clone._APPS
+    assert demo.run_jobs([Job(intern_zz, ()), Job(zz_interned, ())]) == [True, False]
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity here")

@@ -19,7 +19,7 @@ from clone_forge.clone import (
     free_mu,
     theory_laws_check,
 )
-from clone_forge.corpus import designed_mutants, meet_semilattice
+from clone_forge.corpus import designed_mutants, meet_semilattice, standard_clones
 from clone_forge.fin_cat import FinMap, enumerate_maps
 from clone_forge.iso_bridge import (
     PhiContext,
@@ -352,6 +352,36 @@ def test_memoized_action_and_substitution_match_their_formulas(make):
             for x in alg.base.set(m + 1):
                 for y in alg.base.set(m):
                     assert alg.s_at(m, x, y) == ref.mu(m + 1, m, x, variables + (y,))
+
+
+@pytest.mark.parametrize("name", ["free-b2e0", "meet"])
+def test_cached_action_and_substitution_are_the_clones_mu_and_kept(monkeypatch, name):
+    # the reference clone shares no memo with the algebra under test; the
+    # second pass must read every result from the caches, as the same object
+    alg, ref = s_functor(standard_clones()[name]), standard_clones()[name]
+    acts, substs = {}, {}
+    for m, n in itertools.product(range(3), repeat=2):
+        for f in enumerate_maps(m, n):
+            images = tuple(ref.iota(n, j) for j in f.table)
+            for t in alg.base.set(m):
+                acts[f, t] = alg.base.act(f, t)
+                assert acts[f, t] == ref.mu(m, n, t, images)
+    for m in range(3):
+        variables = tuple(ref.iota(m, i) for i in range(m))
+        for x in alg.base.set(m + 1):
+            for y in alg.base.set(m):
+                substs[m, x, y] = alg.s_at(m, x, y)
+                assert substs[m, x, y] == ref.mu(m + 1, m, x, variables + (y,))
+
+    def uncached(*args):
+        raise AssertionError("a second call reached the clone")
+
+    monkeypatch.setattr(alg.clone, "mu", uncached)
+    monkeypatch.setattr(alg.clone, "iota", uncached)
+    for (f, t), first in acts.items():
+        assert alg.base.act(f, t) is first
+    for (m, x, y), first in substs.items():
+        assert alg.s_at(m, x, y) is first
 
 
 def test_tabulating_s_meet_computes_each_column_index_once(monkeypatch):
