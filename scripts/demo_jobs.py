@@ -1,12 +1,15 @@
 #!/usr/bin/env python3
 """Run each job of the demo alone and print its CPU time, peak RSS and instances.
 
-Each job of ``demo.demo_jobs`` runs alone through ``demo.run_jobs``, so in
-its own forked child with the cyclic garbage collector off, as in the demo,
-one child at a time.  A job is named by its first section.  CPU is the child's user plus system
-time; peak RSS is the child's high-water mark, which, as in a demo child,
-counts the pages it shares with this process after the fork.  The flags are
-the demo's, at the demo's defaults.
+Each job of ``demo.demo_jobs``, a ``functools.partial`` called with no
+arguments, runs alone through ``demo.run_jobs``, so in its own forked child
+with the cyclic garbage collector off, as in the demo, one child at a time.
+A job is named by its first section.  The demo's detection checks run in
+the ``fin-cat`` and ``roundtrip-algebra:S(initial)`` jobs; a missed
+detection names the laws its mutant failed.  CPU is the child's user plus
+system time; peak RSS is the child's high-water mark, which, as in a demo
+child, counts the pages it shares with this process after the fork.  The
+flags are the demo's, at the demo's defaults.
 
 ``--runs N`` runs every job in turn, N rounds over the jobs, and prints the
 minimum and median CPU of each job over its N runs, with its largest peak
@@ -19,17 +22,18 @@ import argparse
 import resource
 import statistics
 import sys
+from functools import partial
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from clone_forge.cli import RunConfig, _budget, _policy
-from clone_forge.demo import Job, demo_jobs, run_jobs
+from clone_forge.demo import demo_jobs, run_jobs
 
 
 def _measure(job) -> dict:
     """Run job in this process; its first section's name, CPU s, peak MB and instances."""
-    sections = job.fn(*job.args)
+    sections = job()
     usage = resource.getrusage(resource.RUSAGE_SELF)
     return {
         "job": sections[0][0],
@@ -41,7 +45,7 @@ def _measure(job) -> dict:
 
 def run_alone(job) -> dict:
     """Run job in one forked child, as the demo does, and return what _measure reported there."""
-    return run_jobs([Job(_measure, (job,))])[0]
+    return run_jobs([partial(_measure, job)])[0]
 
 
 def main() -> int:

@@ -2,15 +2,16 @@
 
 The demo checks each presentation of the corpus theories in its own
 sections, and no section reads another's result.  So the sections are split
-into jobs; each job builds its own inputs from the corpus and returns its
-``(section, Report)`` pairs.  Each job runs in its own child, forked from
-the parent, which has already imported everything a job needs; the
-children start in job order, which is the report's section order, and
-their pickled results are put back in that order: stdout does not depend
-on the number of CPUs or on which job finishes first.  What a job builds
-(interned terms, memo tables, caches) dies with its child, so the demo's
-memory peaks at its largest job.  Each child is tied to the parent's life:
-on Linux, a parent killed by any signal takes its children with it.
+into jobs; a job is a ``functools.partial`` called with no arguments, which
+builds its own inputs from the corpus and returns its ``(section, Report)``
+pairs.  Each job runs in its own child, forked from the parent, which has
+already imported everything a job needs; the children start in job order,
+which is the report's section order, and their pickled results are put
+back in that order: stdout does not depend on the number of CPUs or on
+which job finishes first.  What a job builds (interned terms, memo tables,
+caches) dies with its child, so the demo's memory peaks at its largest job.
+Each child is tied to the parent's life: on Linux, a parent killed by any
+signal takes its children with it.
 """
 
 from __future__ import annotations
@@ -19,8 +20,7 @@ import gc
 import os
 import signal
 import sys
-from collections.abc import Callable
-from typing import NamedTuple
+from functools import partial
 
 from . import corpus
 from .checks import CheckPolicy, LawCheck, Report
@@ -42,31 +42,24 @@ CLONES = ("initial", "terminal", "arrow", "free-b2e0", "meet")
 PR_SET_PDEATHSIG = 1  # from <linux/prctl.h>
 
 
-class Job(NamedTuple):
-    fn: Callable
-    args: tuple
-
-
 def _inputs(budget: Budget):
     return corpus.standard_clones(max_arity=max(budget.max_arity, 4))
 
 
+def detects(name: str, report: Report, law: str) -> LawCheck:
+    """Whether a mutant's report fails law; a miss names the laws it did fail."""
+    failed = report.failed_laws()
+    witness = None if law in failed else {"failed": failed}
+    return LawCheck(name, law in failed, "exhaustive", 1, witness)
+
+
 def fin_cat_job():
     g = generators()
-    sections = [("fin-cat", check_symmetric_monoid(g.c, g.w, g.s))]
     mutated = check_symmetric_monoid(g.c, g.w, identity(2))
-    detection = Report()
-    detection.checks.append(
-        LawCheck(
-            "detects-swap-mutation",
-            not mutated.check("insert-swap").passed,
-            "exhaustive",
-            1,
-            None,
-        )
-    )
-    sections.append(("fin-cat-mutation", detection))
-    return sections
+    return [
+        ("fin-cat", check_symmetric_monoid(g.c, g.w, g.s)),
+        ("fin-cat-mutation", Report([detects("detects-swap-mutation", mutated, "insert-swap")])),
+    ]
 
 
 def clone_laws_job(budget: Budget, policy: CheckPolicy, name: str):
@@ -118,33 +111,25 @@ def tail_job(bound: int, budget: Budget, policy: CheckPolicy):
     detection = Report()
     for law, mutant in corpus.designed_mutants():
         report = check_presentation(mutant.algebra, mutant.algebra.base.bound, policy)
-        detection.checks.append(
-            LawCheck(
-                f"detects:{mutant.name}",
-                law in report.failed_laws(),
-                "exhaustive",
-                1,
-                None if law in report.failed_laws() else {"failed": report.failed_laws()},
-            )
-        )
+        detection.checks.append(detects(f"detects:{mutant.name}", report, law))
     sections.append(("mutation-sensitivity", detection))
     return sections
 
 
-def demo_jobs(bound: int, budget: Budget, policy: CheckPolicy) -> list[Job]:
+def demo_jobs(bound: int, budget: Budget, policy: CheckPolicy) -> list[partial]:
     """The demo's jobs, in section order."""
 
     def per_clone(fn, *args):
-        return [Job(fn, (*args, name)) for name in CLONES]
+        return [partial(fn, *args, name) for name in CLONES]
 
     return [
-        Job(fin_cat_job, ()),
+        partial(fin_cat_job),
         *per_clone(clone_laws_job, budget, policy),
-        Job(theory_laws_job, (bound, budget, policy)),
-        Job(presheaf_job, (bound, budget, policy)),
+        partial(theory_laws_job, bound, budget, policy),
+        partial(presheaf_job, bound, budget, policy),
         *per_clone(presentation_job, bound, budget, policy),
         *per_clone(roundtrip_clone_job, budget, policy),
-        Job(tail_job, (bound, budget, policy)),
+        partial(tail_job, bound, budget, policy),
     ]
 
 
@@ -176,13 +161,13 @@ def _end_with_parent(parent: int) -> None:
         os._exit(1)
 
 
-def _child(job: Job, parent: int, write_end: int) -> None:
+def _child(job: partial, parent: int, write_end: int) -> None:
     """In a forked child: run job, write its pickled outcome and end by os._exit."""
     import pickle  # run_jobs has loaded it
     try:
         _end_with_parent(parent)
         try:
-            outcome = (True, job.fn(*job.args), None)
+            outcome = (True, job(), None)
         except Exception as exc:
             import traceback
             outcome = (False, exc, traceback.format_exc())
@@ -195,7 +180,7 @@ def _child(job: Job, parent: int, write_end: int) -> None:
         os._exit(1)
 
 
-def run_jobs(jobs: list[Job]) -> list:
+def run_jobs(jobs: list[partial]) -> list:
     """Run each of ``jobs`` in its own forked child; results come in job order.
 
     At most ``usable_cpus()`` children run at once, started in job order.  A
@@ -209,7 +194,7 @@ def run_jobs(jobs: list[Job]) -> list:
     parent, slots = os.getpid(), usable_cpus()
     results = [None] * len(jobs)
     waiting = iter(enumerate(jobs))
-    running: dict[int, tuple[int, int, list]] = {}  # read end: job, pid, bytes read
+    running: dict[int, tuple[int, int]] = {}  # read end: job, pid
     with selectors.DefaultSelector() as selector:
         try:
             while True:
@@ -218,27 +203,25 @@ def run_jobs(jobs: list[Job]) -> list:
                     if (pid := os.fork()) == 0:
                         _child(nxt[1], parent, write_end)
                     os.close(write_end)
-                    running[read_end] = (nxt[0], pid, [])
+                    running[read_end] = (nxt[0], pid)
                     selector.register(read_end, selectors.EVENT_READ)
                 if not running:
                     return results
                 for key, _ in selector.select():
-                    index, pid, chunks = running[key.fd]
-                    if chunk := os.read(key.fd, 1 << 16):
-                        chunks.append(chunk)
-                        continue
+                    # a child writes only its outcome, just before it ends
+                    data = b"".join(iter(partial(os.read, key.fd, 1 << 16), b""))
                     selector.unregister(key.fd)
                     os.close(key.fd)
-                    del running[key.fd]
+                    index, pid = running.pop(key.fd)
                     if os.waitpid(pid, 0)[1] != 0:
                         from concurrent.futures.process import BrokenProcessPool
                         raise BrokenProcessPool(f"job {index}'s child ended without a result")
-                    ok, value, child_traceback = pickle.loads(b"".join(chunks))
+                    ok, value, child_traceback = pickle.loads(data)
                     if not ok:
                         raise value from RuntimeError(f"in the child:\n{child_traceback}")
                     results[index] = value
         finally:  # a job raised, a child broke or this process was interrupted
-            for read_end, (_, pid, _) in running.items():
+            for read_end, (_, pid) in running.items():
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
                 os.close(read_end)

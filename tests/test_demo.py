@@ -1,7 +1,7 @@
 """The demo's job runner: ordering, errors, fresh children and their count, on cheap jobs.
 
 At most two children run at once here, except in the count test's sleeping
-jobs.  Job functions live in this module, so the commands run in a
+jobs.  The jobs' functions live in this module, so the commands run in a
 subprocess import them by name.
 """
 
@@ -11,13 +11,15 @@ import signal
 import subprocess
 import sys
 import time
+from functools import partial
 from pathlib import Path
 
 import pytest
 
 from clone_forge import clone, demo
+from clone_forge.checks import LawCheck, Report
 from clone_forge.cli import EXIT_INPUT, main
-from clone_forge.demo import Job
+from clone_forge.fin_cat import generators
 from clone_forge.presheaf_f import StageRangeError
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -69,14 +71,34 @@ def running(pid):
 
 def test_results_come_back_in_job_order_when_a_later_job_finishes_first(monkeypatch):
     monkeypatch.setattr(demo, "usable_cpus", lambda: 2)
-    jobs = [Job(nap_then, (1.0, "slow")), Job(nap_then, (0.0, "fast"))]
+    jobs = [partial(nap_then, 1.0, "slow"), partial(nap_then, 0.0, "fast")]
     assert demo.run_jobs(jobs) == ["slow", "fast"]
+
+
+def test_an_outcome_larger_than_a_pipe_buffer_comes_back_whole(monkeypatch):
+    monkeypatch.setattr(demo, "usable_cpus", lambda: 2)
+    assert demo.run_jobs([partial(bytes, 1 << 20), partial(len, "ab")]) == [bytes(1 << 20), 2]
+
+
+def test_a_missed_detection_names_the_laws_its_mutant_failed(monkeypatch):
+    a, b = LawCheck("a", True, "exhaustive", 1), LawCheck("b", False, "exhaustive", 1, {})
+    report = Report([a, b])
+    assert demo.detects("detects:x", report, "b") == LawCheck("detects:x", True, "exhaustive", 1)
+    assert demo.detects("detects:x", report, "a") == LawCheck(
+        "detects:x", False, "exhaustive", 1, {"failed": ["b"]}
+    )
+    # with the true swap in its place, the "mutant" is lawful and fails nothing
+    monkeypatch.setattr(demo, "identity", lambda n: generators().s)
+    missed = LawCheck("detects-swap-mutation", False, "exhaustive", 1, {"failed": []})
+    assert demo.fin_cat_job()[1] == ("fin-cat-mutation", Report([missed]))
 
 
 def test_a_job_that_raises_stage_range_error_makes_main_exit_2(monkeypatch, capsys):
     monkeypatch.setattr(demo, "usable_cpus", lambda: 2)
     monkeypatch.setattr(
-        demo, "demo_jobs", lambda bound, budget, policy: [Job(out_of_range, (9,)), Job(nap_then, (0.0, []))]
+        demo,
+        "demo_jobs",
+        lambda bound, budget, policy: [partial(out_of_range, 9), partial(nap_then, 0.0, [])],
     )
     assert main(["demo"]) == EXIT_INPUT
     assert capsys.readouterr().err == "error: stage 9 exceeds the stored bound\n"
@@ -87,7 +109,7 @@ def test_a_worker_that_dies_ends_the_command_with_an_error():
         "import os, sys\n"
         "from clone_forge import cli, demo\n"
         "demo.usable_cpus = lambda: 1\n"
-        "demo.demo_jobs = lambda bound, budget, policy: [demo.Job(os._exit, (3,))]\n"
+        "demo.demo_jobs = lambda bound, budget, policy: [demo.partial(os._exit, 3)]\n"
         "sys.exit(cli.main(['demo']))\n"
     )
     env = {**os.environ, "PYTHONPATH": SRC}
@@ -107,7 +129,7 @@ def test_no_worker_outlives_a_killed_demo(tmp_path, sig):
         "from clone_forge import cli, demo\n"
         "from test_demo import pid_then_sleep\n"
         "demo.usable_cpus = lambda: 2\n"
-        f"job = demo.Job(pid_then_sleep, ({str(tmp_path)!r},))\n"
+        f"job = demo.partial(pid_then_sleep, {str(tmp_path)!r})\n"
         "demo.demo_jobs = lambda bound, budget, policy: [job, job]\n"
         "sys.exit(cli.main(['demo']))\n"
     )
@@ -140,13 +162,13 @@ def test_no_worker_outlives_a_killed_demo(tmp_path, sig):
 def test_worker_count_is_the_usable_cpus_capped_at_the_jobs(monkeypatch, tmp_path, cpus, jobs, workers):
     # each job counts the jobs running beside it, itself included
     monkeypatch.setattr(demo, "usable_cpus", lambda: cpus)
-    counts = demo.run_jobs([Job(count_running, (str(tmp_path),)) for _ in range(jobs)])
+    counts = demo.run_jobs([partial(count_running, str(tmp_path)) for _ in range(jobs)])
     assert max(counts) == workers
 
 
 def test_each_job_runs_in_a_fresh_child(monkeypatch):
     monkeypatch.setattr(demo, "usable_cpus", lambda: 1)
-    pids = demo.run_jobs([Job(os.getpid, ())] * 3)
+    pids = demo.run_jobs([partial(os.getpid)] * 3)
     assert len(set(pids)) == 3
     assert os.getpid() not in pids
 
@@ -154,7 +176,7 @@ def test_each_job_runs_in_a_fresh_child(monkeypatch):
 def test_a_job_does_not_see_the_terms_of_an_earlier_job(monkeypatch):
     monkeypatch.setattr(demo, "usable_cpus", lambda: 1)
     assert "zz" not in clone._APPS
-    assert demo.run_jobs([Job(intern_zz, ()), Job(zz_interned, ())]) == [True, False]
+    assert demo.run_jobs([partial(intern_zz), partial(zz_interned)]) == [True, False]
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity here")
