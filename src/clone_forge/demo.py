@@ -99,9 +99,7 @@ def roundtrip_clone_job(budget: Budget, policy: CheckPolicy, name: str):
 def tail_job(bound: int, budget: Budget, policy: CheckPolicy):
     clones = _inputs(budget)
     s_initial = s_functor(clones["initial"], budget)
-    sections = [
-        ("roundtrip-algebra:S(initial)", roundtrip_alg(s_initial, bound, policy))
-    ]
+    sections = [("roundtrip-algebra:S(initial)", roundtrip_alg(s_initial, bound, policy))]
     for target in ("meet", "terminal"):
         algebra = s_functor(clones[target], budget)
         family = variable_family(algebra)
@@ -185,7 +183,9 @@ def run_jobs(jobs: list[partial]) -> list:
 
     At most ``usable_cpus()`` children run at once, started in job order.  A
     job's exception re-raises here with its own type; a child that ends
-    without a result raises ``BrokenProcessPool``.  Each child is reaped by pid.
+    without a result raises ``BrokenProcessPool``.  Each child is reaped by
+    pid.  The parent reads one ready child's whole outcome at a time, which
+    cannot deadlock: a child writes only its pickled outcome, then exits.
     """
     # imported here, not by the other commands; ctypes once for every child
     import ctypes  # noqa: F401
@@ -208,7 +208,6 @@ def run_jobs(jobs: list[partial]) -> list:
                 if not running:
                     return results
                 for key, _ in selector.select():
-                    # a child writes only its outcome, just before it ends
                     data = b"".join(iter(partial(os.read, key.fd, 1 << 16), b""))
                     selector.unregister(key.fd)
                     os.close(key.fd)

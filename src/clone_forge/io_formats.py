@@ -108,10 +108,15 @@ def _parse_truncated_presheaf(data, label: str) -> TruncatedPresheaf:
             block = raw_actions.get(key)
             _expect(block is not None, f"{label}: missing action block {key!r}")
             _expect(isinstance(block, dict), f"{label}: action block {key!r} must be an object")
-            maps = {_table_key(f): f for f in enumerate_maps(m, n)}
+            # each key is read as its map, so no block's maps are listed
             for name, row in block.items():
-                f = maps.get(name)
-                _expect(f is not None, f"{label}: block {key!r} has unknown map {name!r}")
+                try:
+                    f = FinMap(m, n, map(int, name.split(",")) if m else ())
+                except ValueError:
+                    f = None
+                _expect(
+                    f and _table_key(f) == name, f"{label}: block {key!r} has unknown map {name!r}"
+                )
                 _expect(
                     isinstance(row, list), f"{label}: table for {key!r}/{name!r} must be a list"
                 )

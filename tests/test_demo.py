@@ -107,9 +107,10 @@ def test_a_job_that_raises_stage_range_error_makes_main_exit_2(monkeypatch, caps
 def test_a_worker_that_dies_ends_the_command_with_an_error():
     code = (
         "import os, sys\n"
+        "from functools import partial\n"
         "from clone_forge import cli, demo\n"
         "demo.usable_cpus = lambda: 1\n"
-        "demo.demo_jobs = lambda bound, budget, policy: [demo.partial(os._exit, 3)]\n"
+        "demo.demo_jobs = lambda bound, budget, policy: [partial(os._exit, 3)]\n"
         "sys.exit(cli.main(['demo']))\n"
     )
     env = {**os.environ, "PYTHONPATH": SRC}
@@ -126,10 +127,11 @@ def test_a_worker_that_dies_ends_the_command_with_an_error():
 def test_no_worker_outlives_a_killed_demo(tmp_path, sig):
     code = (
         "import sys\n"
+        "from functools import partial\n"
         "from clone_forge import cli, demo\n"
         "from test_demo import pid_then_sleep\n"
         "demo.usable_cpus = lambda: 2\n"
-        f"job = demo.partial(pid_then_sleep, {str(tmp_path)!r})\n"
+        f"job = partial(pid_then_sleep, {str(tmp_path)!r})\n"
         "demo.demo_jobs = lambda bound, budget, policy: [job, job]\n"
         "sys.exit(cli.main(['demo']))\n"
     )

@@ -1,9 +1,11 @@
 """File schemas: signatures, finite algebras, tabulated presheaves and algebras."""
 
 import json
+import re
 
 import pytest
 
+from clone_forge import fin_cat
 from clone_forge.clone import FiniteAlgebra, Signature, builtin_clone
 from clone_forge.io_formats import (
     SchemaError,
@@ -89,6 +91,44 @@ def test_presheaf_load_rejects_missing_map(tmp_path):
     payload = json.loads(dump_truncated_presheaf(trunc))
     del payload["actions"]["2->2"]["0,0"]
     path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(SchemaError, match="missing map"):
+        load_truncated_presheaf(path)
+
+
+@pytest.mark.parametrize(
+    "block, key",
+    [("2->2", "0, 1"), ("2->2", "00,1"), ("2->2", "1,"), ("2->2", "0,2"), ("2->2", "0"),
+     ("0->1", "0")],
+)
+def test_presheaf_load_rejects_an_unknown_map_key(tmp_path, block, key):
+    trunc = truncate_presheaf(representable_V(), 2)
+    payload = json.loads(dump_truncated_presheaf(trunc))
+    rows = payload["actions"][block]
+    rows[key] = rows.pop(next(iter(rows)))
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(SchemaError, match=re.escape(f"block {block!r} has unknown map {key!r}")):
+        load_truncated_presheaf(path)
+
+
+def test_presheaf_load_lists_no_block_of_a_file_with_empty_blocks(tmp_path, monkeypatch):
+    # all 8 -> 8 maps alone are 16,777,216 FinMaps: a loader that listed
+    # the blocks' maps before reading their rows would run out of memory
+    listed = fin_cat._maps
+
+    def guarded(m, n):
+        assert n**m <= 1000, f"the loader listed the {n**m} maps {m} -> {n}"
+        return listed(m, n)
+
+    monkeypatch.setattr(fin_cat, "_maps", guarded)
+    stages = range(9)
+    payload = {
+        "bound": 8,
+        "carriers": [1] * 9,
+        "actions": {f"{m}->{n}": {} for m in stages for n in stages},
+    }
+    path = tmp_path / "empty.json"
     path.write_text(json.dumps(payload))
     with pytest.raises(SchemaError, match="missing map"):
         load_truncated_presheaf(path)
