@@ -8,7 +8,7 @@ of the tables workload at `--seed 0` in a temporary directory, where it
 writes `meet-algebra.json` as `perfbench/workloads.py` does, and checks
 both the stdout of each and the two files `to-subst` writes.  Prints one
 line per run or file and exits 1 if any digest differs.  Each run is a
-fresh interpreter; all of them take about a minute on two cores.
+fresh interpreter; all of them take about 25 s on two cores.
 
     python3 scripts/check_digests.py
 """

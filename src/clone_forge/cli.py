@@ -15,7 +15,7 @@ import time
 from dataclasses import dataclass
 
 from . import demo
-from .checks import CarrierUnavailable, CheckPolicy, LawCheck, Report, describe, stage_carriers
+from .checks import CarrierUnavailable, CheckPolicy, Report, describe, stage_carriers
 from .clone import (
     Budget,
     ContextError,
@@ -184,9 +184,6 @@ def cmd_enum_hom(config: RunConfig):
     except CarrierUnavailable as exc:
         raise InputError(f"cannot enumerate hom-set: {exc}") from exc
     report = Report()
-    report.checks.append(
-        LawCheck(f"hom({config.src},{config.dst})", True, "exhaustive", size, None)
-    )
     report.notes.append(f"hom-set size: {size}")
     for hom in homs:
         report.notes.append(f"hom: {list(hom.components)!r}")

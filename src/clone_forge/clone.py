@@ -230,21 +230,17 @@ class FreeClone(Clone):
         depth = (Budget() if budget is None else budget).max_depth
         layers = self._layers.setdefault(n, [[Var(i) for i in range(n)]])
         while len(layers) <= depth:
-            d = len(layers)
-            pool: list[Term] = []
-            pool_depth: dict[Term, int] = {}
-            for k, layer in enumerate(layers):
-                for t in layer:
-                    pool.append(t)
-                    pool_depth[t] = k
+            # a term is new at this depth when an argument lies in the last layer
+            pool = [t for layer in layers for t in layer]
+            last = set(layers[-1])
             fresh: list[Term] = []
             for op, arity in self.signature.operators.items():
                 if arity == 0:
-                    if d == 1:
+                    if len(layers) == 1:
                         fresh.append(App(op, ()))
                     continue
                 for args in itertools.product(pool, repeat=arity):
-                    if max(pool_depth[a] for a in args) == d - 1:
+                    if not last.isdisjoint(args):
                         fresh.append(App(op, args))
             layers.append(fresh)
         return [t for layer in layers[: depth + 1] for t in layer]
@@ -353,33 +349,28 @@ class FiniteClone(Clone):
         order found: each round applies every operation to every argument
         tuple of the elements found so far, in product order.
 
-        An argument tuple of elements that were all there in the previous
-        round gave its value then, so a round evaluates only the tuples
+        A value is the operation's table substituted along its argument
+        tuple.  A tuple of elements that were all there in the previous round
+        gave its value then, so a round substitutes only along the tuples
         holding an element the round before it added.
         """
-        k = self.algebra.carrier_size
         elems = [self.iota(n, i) for i in range(n)]
         seen = set(elems)
-        old = set()
+        old = None  # the elements of the round before; none in the first
         changed = True
         while changed:
             changed = False
             snapshot = list(elems)
-            for name, (arity, table) in self.algebra.operations.items():
-                if arity == 0:
-                    candidates = [(table[0],) * (k**n)]
-                else:
-                    candidates = (
-                        tuple(map(table.__getitem__, _columns(fs, k, k**n)))
-                        for fs in itertools.product(snapshot, repeat=arity)
-                        if not old.issuperset(fs)
-                    )
-                for cand in candidates:
+            for arity, table in self.algebra.operations.values():
+                for fs in itertools.product(snapshot, repeat=arity):
+                    if old is not None and old.issuperset(fs):
+                        continue
+                    cand = self.mu(arity, n, table, fs)
                     if cand not in seen:
                         seen.add(cand)
                         elems.append(cand)
                         changed = True
-            old.update(snapshot)
+            old = set(snapshot)
         return elems
 
     def mu(self, m, n, t, us):

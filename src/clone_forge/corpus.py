@@ -73,8 +73,8 @@ class Mutant:
     algebra: TableSubstAlgebra
 
 
-def _initial_table_algebra(bound: int = 4) -> TableSubstAlgebra:
-    return truncate_algebra(s_functor(builtin_clone("initial")), bound, "initial-table")
+def _initial_table_algebra() -> TableSubstAlgebra:
+    return truncate_algebra(s_functor(builtin_clone("initial")), 4, "initial-table")
 
 
 def designed_mutants() -> list[tuple[str, Mutant]]:
@@ -85,7 +85,7 @@ def designed_mutants() -> list[tuple[str, Mutant]]:
     the targeted family.  The battery asserts the target is among the
     failures, and keeps the failure patterns distinct across targets.
     """
-    return _designed_mutants(_initial_table_algebra(4))
+    return _designed_mutants(_initial_table_algebra())
 
 
 def _designed_mutants(base: TableSubstAlgebra) -> list[tuple[str, Mutant]]:
@@ -121,7 +121,7 @@ def _designed_mutants(base: TableSubstAlgebra) -> list[tuple[str, Mutant]]:
 
 def mutant_battery() -> list[Mutant]:
     """Twenty-plus single-entry mutants for the agreement and sensitivity suites."""
-    base = _initial_table_algebra(4)
+    base = _initial_table_algebra()
     mutants = [m for _, m in _designed_mutants(base)]
 
     for m in (2, 3):

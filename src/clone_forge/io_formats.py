@@ -164,7 +164,7 @@ def load_subst_algebra(path) -> TableSubstAlgebra:
         all(isinstance(t, list) for t in s_tables.values()),
         f"{path}: substitution tables must be lists",
     )
-    return _build(path, TableSubstAlgebra, P, s_tables, v_values, Path(str(path)).stem)
+    return _build(path, TableSubstAlgebra, P, s_tables, v_values)
 
 
 _LOADERS = {

@@ -130,7 +130,7 @@ class AlgebraClone(Clone):
         base = self.algebra.base
         if isinstance(base, TruncatedPresheaf) and 2 * n > base.bound:
             raise StageRangeError(
-                2 * n, f"carrier C_{n} substitutes through stage {2 * n}, "
+                f"carrier C_{n} substitutes through stage {2 * n}, "
                 f"beyond truncation bound {base.bound}"
             )
         return list(base.set(n))

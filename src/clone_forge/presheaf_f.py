@@ -41,15 +41,6 @@ from .fin_cat import (
 class StageRangeError(CarrierUnavailable):
     """A stage beyond the stored truncation bound was requested."""
 
-    def __init__(self, stage: int, message: str | None = None):
-        self.stage = stage
-        super().__init__(message or f"stage {stage} exceeds the stored bound")
-
-    def __reduce__(self):
-        # pickle both arguments, so a copy sent from a worker process keeps
-        # its message instead of wrapping it in the default one again
-        return type(self), (self.stage, str(self))
-
 
 class Presheaf:
     """A functor from finite ordinals to sets with enumerable stages."""
@@ -119,7 +110,7 @@ class TruncatedPresheaf(Presheaf):
 
     def set(self, m):
         if m > self.bound:
-            raise StageRangeError(m, f"stage {m} beyond truncation bound {self.bound}")
+            raise StageRangeError(f"stage {m} beyond truncation bound {self.bound}")
         return list(range(self.carrier_sizes[m]))
 
     def act(self, f, x):
@@ -128,10 +119,7 @@ class TruncatedPresheaf(Presheaf):
     def table(self, f: FinMap) -> tuple[int, ...]:
         """The stored action of f: entry i is the index of act(f, i)."""
         if f.dom > self.bound or f.cod > self.bound:
-            raise StageRangeError(
-                max(f.dom, f.cod),
-                f"map {f} beyond truncation bound {self.bound}",
-            )
+            raise StageRangeError(f"map {f} beyond truncation bound {self.bound}")
         return self.actions[f]
 
 
@@ -384,48 +372,52 @@ def stagewise_tables(m: int) -> dict:
     and the distributive law by swap_map(m) on its first.  On P x P and on
     the pointed shift delta(P) x P each acts on every component, by
     shifted(f) on a shifted one.  Reading each diagram's two composites
-    through these gives {law: (lhs, rhs)}.
+    through these gives {law: (witness names of its arguments, lhs, rhs)}.
     """
     c, e, s, o = merge_map(m), insert_map(m), swap_map(m), old(m)
     c1, e1, s1, o1 = merge_map(m + 1), insert_map(m + 1), swap_map(m + 1), old(m + 1)
     return {
-        "strength-mu": (((0, c), (1, o, o1, c)), ((0, c), (1, o))),
-        "strength-eta": (((0, e), (1, o)), ((0, e), (1, e))),
-        "strength-swap": (((0, s), (1, o, o1, s)), ((0, s), (1, o, o1))),
-        "dist-mu": (((0, s1, shifted(s), c1), (1, c)), ((0, shifted(c), s), (1, c))),
-        "dist-eta": (((0, shifted(e), s), (1, e)), ((0, e1), (1, e))),
+        "strength-mu": ("a y", ((0, c), (1, o, o1, c)), ((0, c), (1, o))),
+        "strength-eta": ("x y", ((0, e), (1, o)), ((0, e), (1, e))),
+        "strength-swap": ("a y", ((0, s), (1, o, o1, s)), ((0, s), (1, o, o1))),
+        "dist-mu": ("a b", ((0, s1, shifted(s), c1), (1, c)), ((0, shifted(c), s), (1, c))),
+        "dist-eta": ("x1 x0", ((0, shifted(e), s), (1, e)), ((0, e1), (1, e))),
         "dist-swap": (
+            "a b",
             ((0, s1, shifted(s), s1), (1, s)),
             ((0, shifted(s), s1, shifted(s)), (1, s)),
         ),
     }
 
 
-def strength_table(law: str, m: int) -> tuple:
-    """The map whose naturality law is named, at stage m, as a component table.
-
-    The right strength (a, y), the left strength (x, b), the bullet strength
-    (a, x, y) and the distributive law (a, b).
-    """
+@lru_cache(maxsize=None)
+def strength_tables(m: int) -> dict:
+    """The strengths and the distributive law at stage m, by naturality law, as
+    (witness names of the arguments, stage shifts of the arguments, stage
+    shifts of the results, component table): argument j sits at stage
+    m + ins[j] and result k at stage m + outs[k]."""
     o = old(m)
     return {
-        "strength-naturality": ((0,), (1, o)),
-        "left-strength-naturality": ((0, o), (1,)),
-        "bullet-strength-naturality": ((0,), (2, o), (1,), (2,)),
-        "dist-naturality": ((0, swap_map(m)), (1,)),
-    }[law]
+        "strength-naturality": ("a y", (1, 0), (1, 1), ((0,), (1, o))),
+        "left-strength-naturality": ("x b", (0, 1), (1, 1), ((0, o), (1,))),
+        "bullet-strength-naturality": (
+            "a x y", (1, 0, 0), (1, 1, 0, 0), ((0,), (2, o), (1,), (2,))
+        ),
+        "dist-naturality": ("a b", (2, 1), (2, 1), ((0, swap_map(m)), (1,))),
+    }
 
 
-def naturality_tables(law: str, ins, outs, f: FinMap):
+def naturality_tables(law: str, f: FinMap):
     """sigma_n(act(f, xs)) = act(f, sigma_m(xs)) for f: m -> n, as (lhs, rhs).
 
-    sigma is strength_table(law, .); its argument j sits at stage m + ins[j]
-    and its result k at stage m + outs[k], and each is acted on by f shifted
-    that many times.
+    sigma is the law's map in strength_tables; each argument and result is
+    acted on by f shifted as many times as it is.
     """
+    _, ins, outs, sigma_n = strength_tables(f.cod)[law]
+    sigma_m = strength_tables(f.dom)[law][3]
     fs = (f, shifted(f), shifted(shifted(f)))
-    lhs = tuple((j, fs[ins[j]], *steps) for j, *steps in strength_table(law, f.cod))
-    rhs = tuple((*c, fs[k]) for c, k in zip(strength_table(law, f.dom), outs))
+    lhs = tuple((j, fs[ins[j]], *steps) for j, *steps in sigma_n)
+    rhs = tuple((*c, fs[k]) for c, k in zip(sigma_m, outs))
     return lhs, rhs
 
 
@@ -463,12 +455,9 @@ def check_delta_laws(
         monoid_diagrams_pointwise(P, g.c, g.w, g.s, bound, policy, C)
     )
 
-    # the witness names of each law's arguments
-    stagewise = {"strength-mu": "a y", "strength-eta": "x y", "strength-swap": "a y",
-                 "dist-mu": "a b", "dist-eta": "x1 x0", "dist-swap": "a b"}
-    for law, names in stagewise.items():
+    for law, (names, *_) in stagewise_tables(0).items():
         report.checks.append(check_law(law, policy, f"m {names} lhs rhs", stage_families(P, C, (
-            (m, *stagewise_tables(m)[law]) for m in range(max(bound - 1, 0))
+            (m, *stagewise_tables(m)[law][1:]) for m in range(max(bound - 1, 0))
         ))))
     report.checks.append(check_law("ell-roundtrip", policy, "m pair lhs", (
         (f"m={m}", (m,), [list(itertools.product(C[m + 1], repeat=2))],
@@ -476,19 +465,12 @@ def check_delta_laws(
         for m in range(bound) if m + 1 in C
     )))
 
-    # (law, witness names after f, shifts of the strength map's arguments,
-    #  shifts of its results): it reads stages up to max(m, n) + its top shift
-    naturality = (
-        ("strength-naturality", "a y", (1, 0), (1, 1)),
-        ("left-strength-naturality", "x b", (0, 1), (1, 1)),
-        ("bullet-strength-naturality", "a x y", (1, 0, 0), (1, 1, 0, 0)),
-        ("dist-naturality", "a b", (2, 1), (2, 1)),
-    )
-    for law, names, ins, outs in naturality:
+    # a naturality law reads stages up to max(m, n) + its top shift
+    for law, (names, ins, outs, _) in strength_tables(0).items():
         reach = max(ins + outs)
         report.checks.append(check_law(law, policy, f"f {names} lhs rhs", (
             (f"{m}->{n}", (), [maps, *(C[m + k] for k in ins)],
-             partial(natural_sides, P.act, {f: naturality_tables(law, ins, outs, f) for f in maps}))
+             partial(natural_sides, P.act, {f: naturality_tables(law, f) for f in maps}))
             for m, n in itertools.product(range(bound), repeat=2)
             if m + reach in C and n + reach in C
             for maps in [enumerate_maps(m, n)]

@@ -364,7 +364,8 @@ def test_enum_hom_counts_a_hom_set_it_could_not_hold(capsys):
         capsys, "enum-hom", "--builtin", "initial", "--src", "2", "--dst", "40"
     )
     assert code == EXIT_PASS
-    assert "PASS theory-homs:hom(2,40) [exhaustive, 1099511627776 instances]" in out
+    # a listing checks no law, so no check is reported
+    assert "PASS" not in out and "FAIL" not in out
     assert "hom-set size: 1099511627776" in out
     assert out.count("hom: [") == 20
     assert f"hom: {[0] * 40!r}" in out

@@ -346,6 +346,35 @@ def test_free_enumeration_deterministic_and_depth_layered():
     assert d2[: len(d1)] == d1
 
 
+def elems_by_depth_map(signature, n, depth):
+    """The arity-n carrier up to depth as FreeClone.elems built it with a
+    term -> depth map: layer d holds, per operator in name order, the
+    applications to tuples of shallower terms whose deepest argument has
+    depth d - 1, in product order, and the constants at depth 1."""
+    layers = [[Var(i) for i in range(n)]]
+    while len(layers) <= depth:
+        d = len(layers)
+        pool_depth = {t: k for k, layer in enumerate(layers) for t in layer}
+        fresh = []
+        for op, arity in signature.operators.items():
+            if arity == 0:
+                if d == 1:
+                    fresh.append(App(op, ()))
+                continue
+            for args in itertools.product(pool_depth, repeat=arity):
+                if max(pool_depth[a] for a in args) == d - 1:
+                    fresh.append(App(op, args))
+        layers.append(fresh)
+    return [t for layer in layers for t in layer]
+
+
+def test_free_enumeration_matches_the_depth_map_enumeration():
+    signature = Signature({"a": 0, "u": 1, "b": 2})
+    for n, depth in itertools.product(range(4), repeat=2):
+        expected = elems_by_depth_map(signature, n, depth)
+        assert FreeClone(signature).elems(n, Budget(max_depth=depth)) == expected
+
+
 def test_clone_laws_free_pass():
     report = clone_laws_check(FreeClone(SIG), Budget(max_depth=1, max_arity=2))
     assert report.passed

@@ -32,7 +32,7 @@ def nap_then(seconds, value):
 
 
 def out_of_range(stage):
-    raise StageRangeError(stage)
+    raise StageRangeError(f"stage {stage} exceeds the stored bound")
 
 
 def pid_then_sleep(directory):

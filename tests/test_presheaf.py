@@ -42,7 +42,7 @@ from clone_forge.presheaf_f import (
     monoid_diagrams_pointwise,
     naturality_tables,
     representable_V,
-    strength_table,
+    strength_tables,
     swap_map,
     truncate_presheaf,
 )
@@ -375,7 +375,7 @@ def test_strengths_concrete_values():
     V = representable_V()
 
     def strength(law, m, *xs):
-        table = strength_table(law, m)
+        table = strength_tables(m)[law][3]
         return component_sides(V.act, table, table, *xs)[0]
 
     # old(1) fixes the point 0
@@ -433,7 +433,7 @@ def test_strength_naturality_random_map(m, n):
     from clone_forge.fin_cat import shifted
 
     for f in enumerate_maps(m, n):
-        tables = naturality_tables("strength-naturality", (1, 0), (1, 1), f)
+        tables = naturality_tables("strength-naturality", f)
         for a in V.set(m + 1):
             for y in V.set(m):
                 lhs = (V.act(shifted(f), a), V.act(old(n), V.act(f, y)))
