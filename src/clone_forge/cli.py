@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -184,12 +185,20 @@ def cmd_enum_hom(config: RunConfig):
     except CarrierUnavailable as exc:
         raise InputError(f"cannot enumerate hom-set: {exc}") from exc
     report = Report()
-    report.notes.append(f"hom-set size: {size}")
+    report.notes.append(f"hom-set size: {_hom_count(size, config.dst)}")
     for hom in homs:
         report.notes.append(f"hom: {list(hom.components)!r}")
     if size > len(homs):
-        report.notes.append(f"... {size - len(homs)} more")
+        report.notes.append(f"... {_hom_count(size, config.dst, len(homs))} more")
     return [("theory-homs", report)]
+
+
+def _hom_count(size: int, n: int, less: int = 0) -> str:
+    """size - less, with size = base**n as base^n if Python refuses its decimal digits."""
+    try:
+        return str(size - less)
+    except ValueError:
+        return f"{round(math.exp(math.log(size) / n))}^{n}" + (f" - {less}" if less else "")
 
 
 def cmd_demo(config: RunConfig):

@@ -109,10 +109,6 @@ def compose(f: FinMap, g: FinMap) -> FinMap:
     return FinMap(f.dom, g.cod, tuple(g.table[v] for v in f.table))
 
 
-def compose_all(maps) -> FinMap:
-    return reduce(compose, maps)
-
-
 compose_cached = lru_cache(maxsize=None)(compose)
 
 
@@ -212,8 +208,7 @@ def check_symmetric_monoid(c: FinMap, w: FinMap, s: FinMap) -> Report:
             raise ShapeError(f"expected a {dom}->{cod} map, got {cand}")
     report = Report()
     for law, left, right in symmetric_monoid_diagrams(c, w, s):
-        lhs = compose_all(left)
-        rhs = compose_all(right)
+        lhs, rhs = reduce(compose, left), reduce(compose, right)
         witness = None if lhs == rhs else {"lhs": lhs, "rhs": rhs}
         report.checks.append(LawCheck(law, witness is None, "exhaustive", 1, witness))
     return report

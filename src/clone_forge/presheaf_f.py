@@ -247,16 +247,6 @@ COMPOSITION_LAWS = {
 }
 
 
-def identity_families(P: Presheaf, carriers: dict[int, list]):
-    """The families of act(id_m, x) = x, one per stage m in carriers, with axis x."""
-
-    def ident(f, x):
-        return P.act(f, x), x
-
-    for m in carriers:
-        yield f"m={m}", (m,), [carriers[m]], partial(ident, identity(m))
-
-
 def check_composition(
     P: Presheaf, law: str, carriers: dict[int, list], policy: CheckPolicy
 ) -> LawCheck:
@@ -321,16 +311,21 @@ def component_sides(act, lhs, rhs, *xs):
 def stage_families(P: Presheaf, carriers: dict[int, list], tables):
     """The families m=<m> of a law given as (m, lhs, rhs) tables, one axis per argument.
 
-    Every component acts by at least one map.  A stage m is checked when
-    every stage its maps read is in carriers, and argument i ranges over the
-    stage that the maps acting first on it read.
+    A component may act by no map, reading its argument as it is.  A stage m
+    is checked when every stage its maps read is in carriers, and argument i
+    ranges over the stage that the maps acting first on it read.
     """
     for m, lhs, rhs in tables:
         components = lhs + rhs
         if max(max(f.dom, f.cod) for _, *steps in components for f in steps) in carriers:
-            stages = {i: f.dom for i, f, *_ in components}
+            stages = {i: steps[0].dom for i, *steps in components if steps}
             axes = [carriers[stages[i]] for i in range(len(stages))]
             yield f"m={m}", (m,), axes, partial(component_sides, P.act, lhs, rhs)
+
+
+def identity_families(P: Presheaf, carriers: dict[int, list]):
+    """The families of act(id_m, x) = x, one per stage m in carriers, with axis x."""
+    return stage_families(P, carriers, ((m, ((0, identity(m)),), ((0,),)) for m in carriers))
 
 
 def leg_tables(m: int, left, right):
@@ -338,45 +333,25 @@ def leg_tables(m: int, left, right):
     return tuple(((0, *(coproduct(identity(m), step) for step in leg)),) for leg in (left, right))
 
 
-def monoid_diagrams_pointwise(
-    P: Presheaf,
-    c: FinMap,
-    w: FinMap,
-    s: FinMap,
-    bound: int,
-    policy: CheckPolicy,
-    carriers: dict[int, list],
-) -> list:
-    """Evaluate the image of each of the eight diagrams on P, stage by stage.
-
-    carriers are P's, by stage, as ``check_delta_laws`` enumerates them; a
-    stage m is checked when m < bound - 1 and every stage it reads is there.
-    Exposed separately so the reduction to plain table equalities can itself
-    be tested: verdicts here must match the table-level checker verdict for
-    any shape-correct triple.
-    """
-    return [
-        check_law(f"delta-{law}", policy, "m x lhs rhs", stage_families(P, carriers, (
-            (m, *leg_tables(m, left, right)) for m in range(max(bound - 1, 0))
-        )))
-        for law, left, right in symmetric_monoid_diagrams(c, w, s)
-    ]
-
-
 @lru_cache(maxsize=None)
 def stagewise_tables(m: int) -> dict:
-    """The strength and distributive-law diagrams at stage m, as component tables.
+    """The monoid, strength and distributive-law diagrams at stage m, as component tables.
 
-    The shift's mu, eta and swap act by merge_map(m), insert_map(m) and
-    swap_map(m); the right strength acts by old(m) on its second argument
-    and the distributive law by swap_map(m) on its first.  On P x P and on
-    the pointed shift delta(P) x P each acts on every component, by
-    shifted(f) on a shifted one.  Reading each diagram's two composites
-    through these gives {law: (witness names of its arguments, lhs, rhs)}.
+    A monoid diagram, delta-<law>, is its two legs beside an m-point identity
+    block (leg_tables).  The shift's mu, eta and swap act by merge_map(m),
+    insert_map(m) and swap_map(m); the right strength acts by old(m) on its
+    second argument and the distributive law by swap_map(m) on its first.
+    On P x P and on the pointed shift delta(P) x P each acts on every
+    component, by shifted(f) on a shifted one.  Reading each diagram's two
+    composites through these gives {law: (witness names of its arguments,
+    lhs, rhs)}.
     """
     c, e, s, o = merge_map(m), insert_map(m), swap_map(m), old(m)
     c1, e1, s1, o1 = merge_map(m + 1), insert_map(m + 1), swap_map(m + 1), old(m + 1)
+    g = generators()
     return {
+        **{f"delta-{law}": ("x", *leg_tables(m, left, right))
+           for law, left, right in symmetric_monoid_diagrams(g.c, g.w, g.s)},
         "strength-mu": ("a y", ((0, c), (1, o, o1, c)), ((0, c), (1, o))),
         "strength-eta": ("x y", ((0, e), (1, o)), ((0, e), (1, e))),
         "strength-swap": ("a y", ((0, s), (1, o, o1, s)), ((0, s), (1, o, o1))),
@@ -435,11 +410,12 @@ def check_delta_laws(
     the three distributive-law diagrams for the swap over the pointed shift,
     invertibility of the product comparison, and stage naturality of all four
     strength maps.  Every law is a pair of component tables per stage (see
-    component_sides), read by one evaluator.  Stages m run 0..bound-2, or
-    0..bound-1 for naturality and the comparison, and the laws read P up to
-    stage bound+1.  The first stage P cannot enumerate lowers the bound, with
-    a note, to the largest one whose reads all stay below it; each law still
-    checks every stage whose reads do.
+    component_sides), read by one evaluator; the first fourteen are the rows
+    of stagewise_tables.  Stages m run 0..bound-2, or 0..bound-1 for
+    naturality and the comparison, and the laws read P up to stage bound+1.
+    The first stage P cannot enumerate lowers the bound, with a note, to the
+    largest one whose reads all stay below it; each law still checks every
+    stage whose reads do.
 
     Two laws hold on every presheaf.  In strength-eta, insert_map(m) is
     old(m), one interned FinMap, so both sides are one table.  In
@@ -448,13 +424,7 @@ def check_delta_laws(
     keep their names and counts, since reports pin them.
     """
     report = Report()
-    g = generators()
     C = stage_carriers(P.set, bound, report, reach=1)
-
-    report.checks.extend(
-        monoid_diagrams_pointwise(P, g.c, g.w, g.s, bound, policy, C)
-    )
-
     for law, (names, *_) in stagewise_tables(0).items():
         report.checks.append(check_law(law, policy, f"m {names} lhs rhs", stage_families(P, C, (
             (m, *stagewise_tables(m)[law][1:]) for m in range(max(bound - 1, 0))

@@ -372,6 +372,17 @@ def test_enum_hom_counts_a_hom_set_it_could_not_hold(capsys):
     assert "... 1099511627756 more" in out
 
 
+def test_enum_hom_counts_a_hom_set_too_large_to_print_in_decimal(capsys):
+    # 3**10000 has 4,772 digits, more than Python turns into a decimal string
+    code, out = run(
+        capsys, "enum-hom", "--builtin", "initial", "--src", "3", "--dst", "10000"
+    )
+    assert code == EXIT_PASS
+    assert "hom-set size: 3^10000\n" in out
+    assert out.count("hom: [") == 20
+    assert "... 3^10000 - 20 more\n" in out
+
+
 @pytest.mark.parametrize(("src", "dst", "size"), [("0", "0", 1), ("0", "2", 0)])
 def test_enum_hom_counts_empty_products(capsys, src, dst, size):
     code, out = run(capsys, "enum-hom", "--builtin", "initial", "--src", src, "--dst", dst)
