@@ -15,10 +15,17 @@ flags are the demo's, at the demo's defaults.
 minimum and median CPU of each job over its N runs, with its largest peak
 RSS.  A single run's CPU moves by tens of percent on a shared machine.
 
+After the table come the total of the jobs' minimum CPU and the demo's own
+schedule at those costs: the jobs start in job order on ``usable_cpus()``
+slots, each on the slot that comes free first, as ``demo.run_jobs`` starts
+them, and each takes its minimum CPU.  The slot that ends last ends at the
+figure that bounds the demo's wall time from below; its jobs are printed.
+
     python3 scripts/demo_jobs.py [--runs N] [--bound B] [--depth D] [--max-arity K] [--seed S]
 """
 
 import argparse
+import heapq
 import resource
 import statistics
 import sys
@@ -28,7 +35,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from clone_forge.cli import RunConfig, _budget, _policy
-from clone_forge.demo import demo_jobs, run_jobs
+from clone_forge.demo import demo_jobs, run_jobs, usable_cpus
 
 
 def _measure(job) -> dict:
@@ -46,6 +53,18 @@ def _measure(job) -> dict:
 def run_alone(job) -> dict:
     """Run job in one forked child, as the demo does, and return what _measure reported there."""
     return run_jobs([partial(_measure, job)])[0]
+
+
+def schedule(costs: list[float], slots: int) -> list[tuple[float, list[int]]]:
+    """Each slot's end time and jobs when the jobs, costing costs, start in
+    job order, each on the slot that comes free first (the lowest of a tie)."""
+    free = [(0.0, slot) for slot in range(min(slots, len(costs)))]
+    lanes: list[list[int]] = [[] for _ in free]
+    for job, cost in enumerate(costs):
+        end, slot = heapq.heappop(free)
+        lanes[slot].append(job)
+        heapq.heappush(free, (end + cost, slot))
+    return [(sum(costs[job] for job in lane), lane) for lane in lanes]
 
 
 def main() -> int:
@@ -74,6 +93,12 @@ def main() -> int:
             f"{seen[0]['job']:<34} {min(cpu):>7.2f} {statistics.median(cpu):>7.2f} "
             f"{max(r['peak_mb'] for r in seen):>8.1f} {seen[0]['instances']:>10}"
         )
+    cpu_min = [min(r["cpu_s"] for r in seen) for seen in results]
+    lanes = schedule(cpu_min, usable_cpus())
+    end, last = max(lanes, key=lambda lane: lane[0])
+    print(f"total cpu_min: {sum(cpu_min):.2f} s")
+    print(f"schedule on {len(lanes)} slots ends at: {end:.2f} s")
+    print(f"last slot: {', '.join(results[job][0]['job'] for job in last)}")
     return 0
 
 

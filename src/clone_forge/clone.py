@@ -154,9 +154,14 @@ def check_projection(m: int, i: int) -> None:
         raise ContextError(f"projection index {i!r} outside arity {m}")
 
 
+def substituends_error(m: int, us) -> ContextError:
+    """The error every mu raises for a substituend tuple us whose length is not m."""
+    return ContextError(f"expected {m} substituends, got {len(us)}")
+
+
 def _check_substitution(m: int, n: int, t: Term, us: tuple[Term, ...]) -> None:
     if len(us) != m:
-        raise ContextError(f"expected {m} substituends, got {len(us)}")
+        raise substituends_error(m, us)
     if t.min_context > m:
         raise _context_error(t, m)
     for u in us:
@@ -376,7 +381,7 @@ class FiniteClone(Clone):
     def mu(self, m, n, t, us):
         us = tuple(us)
         if len(us) != m:
-            raise ContextError(f"expected {m} substituends, got {len(us)}")
+            raise substituends_error(m, us)
         key = (n, t, us)
         r = self._mu_memo.get(key)
         if r is None:
@@ -415,7 +420,9 @@ class InitialClone(Clone):
 
     def mu(self, m, n, t, us):
         us = tuple(us)
-        if len(us) != m or not 0 <= t < m:
+        if len(us) != m:
+            raise substituends_error(m, us)
+        if not 0 <= t < m:
             raise ContextError(f"bad substitution instance ({m},{n})")
         return us[t]
 
@@ -431,6 +438,8 @@ class TerminalClone(Clone):
         return [STAR]
 
     def mu(self, m, n, t, us):
+        if len(us) != m:
+            raise substituends_error(m, us)
         return STAR
 
     def iota(self, m, i):
@@ -445,6 +454,8 @@ class ArrowClone(Clone):
         return [] if n == 0 else [STAR]
 
     def mu(self, m, n, t, us):
+        if len(us) != m:
+            raise substituends_error(m, us)
         if n == 0:
             raise ContextError("arity-0 carrier of the arrow clone is empty")
         return STAR

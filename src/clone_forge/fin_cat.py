@@ -130,11 +130,6 @@ def old(n: int) -> FinMap:
     return FinMap(n, n + 1, tuple(range(n)))
 
 
-def new(n: int) -> FinMap:
-    """The top point of n+1, as a map out of 1."""
-    return FinMap(1, n + 1, (n,))
-
-
 @dataclass(frozen=True)
 class Generators:
     """The merge, insert and swap maps on the one-point object."""

@@ -15,7 +15,9 @@ from dataclasses import dataclass, replace
 from functools import partial
 
 from .checks import CheckPolicy, Report, check_law, stage_carriers
-from .clone import Budget, Clone, check_projection, clone_hom_check, clone_hom_families
+from .clone import (
+    Budget, Clone, check_projection, clone_hom_check, clone_hom_families, substituends_error
+)
 from .fin_cat import FinMap
 from .presheaf_f import Presheaf, StageRangeError, TruncatedPresheaf
 from .subst_algebra import SubstAlgebra, hom_check, hom_families, renamed_variable
@@ -92,7 +94,7 @@ class PhiContext:
     def __post_init__(self) -> None:
         object.__setattr__(self, "us", tuple(self.us))
         if len(self.us) != self.m:
-            raise ValueError(f"expected {self.m} substituends, got {len(self.us)}")
+            raise substituends_error(self.m, self.us)
 
 
 def phi(ctx: PhiContext):

@@ -680,8 +680,8 @@ def test_warm_finite_iota_still_checks_its_index():
             meet.iota(m, i)
 
 
-# the six clones, each with projections at arity 2
-IOTA_CLONES = {
+# the six clones, each with projections at arities 1 and 2
+CLONES = {
     "free": lambda: FreeClone(SIG),
     "finite": lambda: FiniteClone(MEET, 3),
     "initial": InitialClone,
@@ -692,7 +692,7 @@ IOTA_CLONES = {
 
 
 @pytest.mark.parametrize("index", [0.5, True, -1, 2])
-@pytest.mark.parametrize("make", IOTA_CLONES.values(), ids=IOTA_CLONES)
+@pytest.mark.parametrize("make", CLONES.values(), ids=CLONES)
 def test_iota_rejects_an_index_outside_the_arity(make, index):
     # a bool or float index passed the range check: the free clone returned
     # x0.5, the finite clone a table of floats, the built-ins 0.5 or *.  All
@@ -700,6 +700,17 @@ def test_iota_rejects_an_index_outside_the_arity(make, index):
     with pytest.raises(ContextError) as error:
         make().iota(2, index)
     assert str(error.value) == f"projection index {index!r} outside arity 2"
+
+
+@pytest.mark.parametrize("count", [0, 1, 3])
+@pytest.mark.parametrize("make", CLONES.values(), ids=CLONES)
+def test_mu_rejects_a_substituend_tuple_of_the_wrong_length(make, count):
+    # the terminal and arrow clones returned *, the initial clone named the
+    # instance and not the count, the algebra clone raised a plain ValueError
+    clone = make()
+    with pytest.raises(ContextError) as error:
+        clone.mu(2, 1, clone.iota(2, 0), (clone.iota(1, 0),) * count)
+    assert str(error.value) == f"expected 2 substituends, got {count}"
 
 
 @pytest.mark.parametrize("index", [1.5, True, -1])

@@ -18,7 +18,6 @@ from clone_forge.fin_cat import (
     enumerate_maps,
     generators,
     identity,
-    new,
     old,
 )
 
@@ -78,13 +77,12 @@ def test_generator_tables():
     assert g.w == FinMap(0, 1, ())
     assert g.s == FinMap(2, 2, (1, 0))
     assert old(2) == FinMap(2, 3, (0, 1))
-    assert new(2) == FinMap(1, 3, (2,))
 
 
 def test_swap_is_copair_of_new_and_old():
     # the swap map sends the left point to the fresh top and vice versa
     g = generators()
-    assert g.s.table == (new(1).table[0], old(1).table[0])
+    assert g.s.table == (FinMap(1, 2, (1,)).table[0], old(1).table[0])
 
 
 def test_finmap_validation():
