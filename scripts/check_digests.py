@@ -7,7 +7,8 @@ default flags, then in json at `--seed 0` .. `--seed 9`.  Then runs
 of the tables workload at `--seed 0` in a temporary directory, where it
 writes `meet-algebra.json` as `perfbench/workloads.py` does, and checks
 both the stdout of each and the two files `to-subst` writes.  Prints one
-line per run or file and exits 1 if any digest differs.  Each run is a
+line per run or file, with each json demo run's check count and instance
+total after its digest, and exits 1 if any digest differs.  Each run is a
 fresh interpreter; all of them take about 25 s on two cores.
 
     python3 scripts/check_digests.py
@@ -25,22 +26,22 @@ ROOT = Path(__file__).resolve().parents[1]
 
 # sha256 of `clone-forge demo` stdout at default flags (no --seed)
 PINNED = {
-    ("--format", "json"): "be975cd303d232deb38925da3c6a5b9b7b537300e2a1a7e6fca995aad435da7f",
-    ("--format", "text"): "8d558ac8956d31862d499b68ca601153df79ff5d2989b0735f54c8a9f89e66dd",
+    ("--format", "json"): "ae445d6a75890a63f0d49e6143ff62b152e9846968482ac7d502c1731b540a55",
+    ("--format", "text"): "a978fbd9be24582699ebeaa7cdca5a03928355cfa5977d3275a9767ca9a4cb76",
 }
 
 # sha256 of `clone-forge demo --format json --seed SEED` stdout
 SEEDS = {
-    "0": "10a1c40f8e626ded0f1743041c5c89a68950fc3d3c8aedf8a79ce70b701a49ff",
-    "1": "6c042a0c47b635cdbad7e4fd6e5a2beefc4ce53438d23fcc613041d68ea893a9",
-    "2": "baa8ea4544f0b5b209dc7753cb4801e428811ea7d1024666cff4967e7ba5be12",
-    "3": "633537593e1d5d77d8505e204c65f4914d668a186adfc2a777ce997cba7d6c73",
-    "4": "eac71a8cc2d66432837c8f3b48f6f0b47bcc531565cd686252b63b63507567bf",
-    "5": "f34dae655a5d860fae6b42692045fa6f7bb477b0d7fbe81831c31c72dca96780",
-    "6": "93d94b22af5e1d48390689aa804e3133aac65ad9ab83a62d589527cbe2d7bec5",
-    "7": "22e9eba0012b0b94f44a817dfb7a3f73a1c3d72dbbc9839a31b7e100b2db7035",
-    "8": "f9f549d265cd0677ad6a4f8b4fd35b30ee9af11591d602c0d7c1092a9f40f0a3",
-    "9": "a96e0ddb98c6122e4438be69384644f58e006c55a6ac74a04ad2799bfcc4ccdc",
+    "0": "41bc4181a9acf8a7d8f1749fa718cac62b5e042681ab6bf00d2779f3daa97a93",
+    "1": "d96a09ba56a9ec8a757dc5fe538dc8943b2b0dcdc87ec2da182b7cbeda1b21f0",
+    "2": "d160bc0f24371611ed10d538934bb66fc86f221cdd91dc347fe99b6a0ee11942",
+    "3": "06cc5caf44784837ca019d5d5f24a18b88255fc75c7b6a754b2d176d3530a952",
+    "4": "140e06db160ea35e894b7ed03a53ab7dad59ffd8edf558b0278fccb7a72e3c1e",
+    "5": "f4176878ac0da47e8e1edfa815c68c9a51347bfb87169077b54e475519bad57a",
+    "6": "8a390a65705a937cced8c4c1d30ede618f8b99016bc65e2edc70c31a243459d5",
+    "7": "b8c5ced779c55e94d5328a28eba8076ba02198f624d42a0e9a8fdb6627e2dc38",
+    "8": "58a4803548d4743e24831aa1c15d2a0af4df91a961a7a45f15f14b7a6d75c883",
+    "9": "3cb14c24fbcc1d4256d4d7e456950d8db566af1b24cf9a79bc79b54b41e95a79",
 }
 
 # sha256 of `perfbench/mutants.py --seed SEED` stdout
@@ -104,16 +105,25 @@ def runs() -> list[tuple[str, list[str], str]]:
     return demo + mutants + tables
 
 
+def demo_counts(data: bytes) -> str:
+    """The check count and instance total of a `demo --format json` stdout."""
+    try:
+        checks = json.loads(data)["checks"]
+    except (ValueError, KeyError):
+        return " (unreadable)"
+    return f" ({len(checks)} checks, {sum(c['instances'] for c in checks):,} instances)"
+
+
 def main() -> int:
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     mismatches = 0
 
-    def compare(label: str, data: bytes, want: str) -> None:
+    def compare(label: str, data: bytes, want: str, counts: str = "") -> None:
         nonlocal mismatches
         got = hashlib.sha256(data).hexdigest()
         mismatches += got != want
         verdict = "ok" if got == want else f"MISMATCH (want {want[:12]})"
-        print(f"{label}: {got[:12]} {verdict}", flush=True)
+        print(f"{label}: {got[:12]}{counts} {verdict}", flush=True)
 
     with tempfile.TemporaryDirectory() as tmp:
         workdir = Path(tmp)
@@ -123,7 +133,8 @@ def main() -> int:
                 [sys.executable, *args], cwd=workdir,
                 env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, check=False,
             ).stdout
-            compare(label, out, want)
+            json_demo = label.startswith("demo --format json")
+            compare(label, out, want, demo_counts(out) if json_demo else "")
         for name, want in TABLE_FILES.items():
             path = workdir / name
             compare(f"file {name}", path.read_bytes() if path.exists() else b"", want)

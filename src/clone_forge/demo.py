@@ -27,7 +27,7 @@ from .checks import CheckPolicy, LawCheck, Report
 from .clone import Budget, clone_laws_check, theory_laws_check
 from .fin_cat import check_symmetric_monoid, generators, identity
 from .iso_bridge import roundtrip_alg, roundtrip_clone, s_functor
-from .presheaf_f import check_delta_laws, check_functoriality, representable_V
+from .presheaf_f import RepresentableV, check_delta_laws, check_functoriality
 from .subst_algebra import (
     check_diagrams,
     check_presentation,
@@ -73,7 +73,7 @@ def theory_laws_job(bound: int, budget: Budget, policy: CheckPolicy):
 
 
 def presheaf_job(bound: int, budget: Budget, policy: CheckPolicy):
-    V = representable_V()
+    V = RepresentableV()
     s_initial = s_functor(_inputs(budget)["initial"], budget)
     return [
         ("functoriality:V", check_functoriality(V, bound, policy)),

@@ -22,7 +22,6 @@ from .presheaf_f import (
     TruncatedPresheaf,
     check_composition,
     identity_families,
-    insert_map,
     merge_map,
     swap_map,
     truncate_presheaf,
@@ -224,12 +223,12 @@ def substitution_families(alg: SubstAlgebra, A: dict[int, list], variables) -> d
             for m in lower
         ),
         "weakening": (
-            (f"m={m}", (m,), [A[m], A[m]], partial(weakening, m, insert_map(m)))
+            (f"m={m}", (m,), [A[m], A[m]], partial(weakening, m, old(m)))
             for m in range(bound)
         ),
         "associativity": (
             (f"m={m}", (m,), [A[m + 2], A[m + 1], A[m]],
-             associativity(m, swap_map(m), insert_map(m)))
+             associativity(m, swap_map(m), old(m)))
             for m in lower
         ),
     }

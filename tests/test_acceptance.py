@@ -34,7 +34,7 @@ from clone_forge.corpus import (
 )
 from clone_forge.fin_cat import check_symmetric_monoid, generators, identity
 from clone_forge.iso_bridge import c_functor, c_on_hom, roundtrip_alg, roundtrip_clone, s_functor, s_on_hom
-from clone_forge.presheaf_f import check_delta_laws, representable_V
+from clone_forge.presheaf_f import RepresentableV, check_delta_laws
 from clone_forge.subst_algebra import (
     LAW_MAPPING,
     check_diagrams,
@@ -183,13 +183,13 @@ def test_criterion_5_presentation_equivalence():
 def test_criterion_6_delta_laws():
     started = time.perf_counter()
     reports = [
-        check_delta_laws(representable_V(), 4),
+        check_delta_laws(RepresentableV(), 4),
         check_delta_laws(s_functor(builtin_clone("initial")).base, 4),
         check_delta_laws(
             s_functor(FreeClone(Signature({"b": 2})), Budget(max_depth=2)).base, 4
         ),
     ]
-    names_needed = {"dist-mu", "dist-eta", "dist-swap", "ell-roundtrip"}
+    names_needed = {"strength-mu", "strength-swap", "dist-mu", "dist-eta", "dist-swap"}
     ok = all(r.passed for r in reports) and all(
         names_needed <= {c.law for c in r.checks} for r in reports
     )

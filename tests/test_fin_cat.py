@@ -257,6 +257,26 @@ def test_identity_swap_fails_insert_swap():
     assert {lhs.table, rhs.table} == {(1,), (0,)}
 
 
+# The failed laws of the checker at each candidate swap.  c and w are the
+# only maps 2 -> 1 and 0 -> 1, so a triple the checker accepts varies only
+# its swap; associativity, both units and merge-after-swap end in the
+# terminal 1, and braid holds for every 2 -> 2 map, so those five laws pass
+# on every triple.
+SWAP_FAILURES = {
+    (0, 0): ["swap-involution"],
+    (0, 1): ["insert-swap", "merge-swap"],
+    (1, 0): [],
+    (1, 1): ["swap-involution", "insert-swap"],
+}
+
+
+@pytest.mark.parametrize("swap", enumerate_maps(2, 2), ids=lambda f: str(f.table))
+def test_monoid_checker_reach_over_every_swap(swap):
+    g = generators()
+    report = check_symmetric_monoid(g.c, g.w, swap)
+    assert report.failed_laws() == SWAP_FAILURES[swap.table]
+
+
 def test_monoid_checker_rejects_bad_shapes():
     g = generators()
     with pytest.raises(ShapeError):

@@ -20,7 +20,7 @@ from clone_forge.io_formats import (
     load_truncated_presheaf,
 )
 from clone_forge.iso_bridge import s_functor
-from clone_forge.presheaf_f import representable_V, truncate_presheaf
+from clone_forge.presheaf_f import RepresentableV, truncate_presheaf
 from clone_forge.subst_algebra import check_presentation, truncate_algebra
 
 
@@ -67,7 +67,7 @@ def test_finite_algebra_rejects_short_table(tmp_path):
 
 
 def test_truncated_presheaf_roundtrip(tmp_path):
-    trunc = truncate_presheaf(representable_V(), 3)
+    trunc = truncate_presheaf(RepresentableV(), 3)
     path = tmp_path / "v.json"
     path.write_text(dump_truncated_presheaf(trunc))
     loaded = load_truncated_presheaf(path)
@@ -77,7 +77,7 @@ def test_truncated_presheaf_roundtrip(tmp_path):
 
 
 def test_presheaf_load_rejects_nonfunctorial_table(tmp_path):
-    trunc = truncate_presheaf(representable_V(), 2)
+    trunc = truncate_presheaf(RepresentableV(), 2)
     payload = json.loads(dump_truncated_presheaf(trunc))
     payload["actions"]["2->2"]["0,0"] = [0, 1]
     path = tmp_path / "bad.json"
@@ -87,7 +87,7 @@ def test_presheaf_load_rejects_nonfunctorial_table(tmp_path):
 
 
 def test_presheaf_load_rejects_missing_map(tmp_path):
-    trunc = truncate_presheaf(representable_V(), 2)
+    trunc = truncate_presheaf(RepresentableV(), 2)
     payload = json.loads(dump_truncated_presheaf(trunc))
     del payload["actions"]["2->2"]["0,0"]
     path = tmp_path / "bad.json"
@@ -102,7 +102,7 @@ def test_presheaf_load_rejects_missing_map(tmp_path):
      ("0->1", "0")],
 )
 def test_presheaf_load_rejects_an_unknown_map_key(tmp_path, block, key):
-    trunc = truncate_presheaf(representable_V(), 2)
+    trunc = truncate_presheaf(RepresentableV(), 2)
     payload = json.loads(dump_truncated_presheaf(trunc))
     rows = payload["actions"][block]
     rows[key] = rows.pop(next(iter(rows)))
@@ -165,5 +165,5 @@ def test_load_and_validate_dispatch(tmp_path):
 def test_dumps_are_deterministic():
     table = truncate_algebra(s_functor(builtin_clone("initial")), 3)
     assert dump_subst_algebra(table) == dump_subst_algebra(table)
-    trunc = truncate_presheaf(representable_V(), 2)
+    trunc = truncate_presheaf(RepresentableV(), 2)
     assert dump_truncated_presheaf(trunc) == dump_truncated_presheaf(trunc)

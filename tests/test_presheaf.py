@@ -29,6 +29,7 @@ from clone_forge.presheaf_f import (
     COMPOSITION_LAWS,
     Presheaf,
     ProductPresheaf,
+    RepresentableV,
     StageRangeError,
     TruncatedPresheaf,
     check_composition,
@@ -36,10 +37,8 @@ from clone_forge.presheaf_f import (
     check_functoriality,
     component_sides,
     compose_families,
-    insert_map,
     merge_map,
     naturality_tables,
-    representable_V,
     strength_tables,
     swap_map,
     truncate_presheaf,
@@ -124,7 +123,7 @@ def compose_law(P, law, bound, policy, combos=None):
 
 
 def test_representable_carriers_and_action():
-    V = representable_V()
+    V = RepresentableV()
     assert V.set(3) == [0, 1, 2]
     g = generators()
     assert V.act(g.c, 1) == 0
@@ -132,13 +131,13 @@ def test_representable_carriers_and_action():
 
 
 def test_functoriality_of_representable():
-    report = check_functoriality(representable_V(), 3)
+    report = check_functoriality(RepresentableV(), 3)
     assert report.passed
     assert all(c.mode == "exhaustive" for c in report.checks)
 
 
 def test_functoriality_catches_corrupted_table():
-    trunc = truncate_presheaf(representable_V(), 3)
+    trunc = truncate_presheaf(RepresentableV(), 3)
     f = FinMap(2, 2, (0, 0))
     # (0, 1) is no longer the constant map's action
     bad = TruncatedPresheaf(3, trunc.carrier_sizes, {**trunc.actions, f: (0, 1)})
@@ -344,7 +343,7 @@ def test_another_seed_bound_or_law_is_checked_again(monkeypatch):
 
 
 def test_table_action_matches_act():
-    trunc = truncate_presheaf(representable_V(), 3)
+    trunc = truncate_presheaf(RepresentableV(), 3)
     for f in enumerate_maps(2, 3):
         assert trunc.table(f) == tuple(trunc.act(f, x) for x in trunc.set(2))
     with pytest.raises(StageRangeError):
@@ -360,17 +359,24 @@ def test_functoriality_of_free_clone_presheaf():
 
 def test_delta_structure_concrete_tables():
     # the shift's mu, swap and eta at stage m act by merge_map(m), swap_map(m)
-    # and insert_map(m)
-    V = representable_V()
+    # and old(m)
+    V = RepresentableV()
     # at stage 0 the merge map sends both points of V(2) to the point of V(1)
     assert [V.act(merge_map(0), x) for x in V.set(2)] == [0, 0]
     # the swap exchanges the two points of V(2)
     assert [V.act(swap_map(0), x) for x in V.set(2)] == [1, 0]
-    assert V.act(insert_map(2), 1) == 1
+    assert V.act(old(2), 1) == 1
+
+
+@pytest.mark.parametrize("m", range(4))
+def test_no_stagewise_law_compares_a_table_with_itself(m):
+    # a row whose two sides are one table holds on every presheaf
+    for law, (_, lhs, rhs) in presheaf_f.stagewise_tables(m).items():
+        assert lhs != rhs, law
 
 
 def test_strengths_concrete_values():
-    V = representable_V()
+    V = RepresentableV()
 
     def strength(law, m, *xs):
         table = strength_tables(m)[law][3]
@@ -387,7 +393,7 @@ def test_strengths_concrete_values():
 
 
 def test_delta_laws_V_and_S_initial():
-    assert check_delta_laws(representable_V(), 4).passed
+    assert check_delta_laws(RepresentableV(), 4).passed
     base = s_functor(builtin_clone("initial")).base
     assert check_delta_laws(base, 3).passed
 
@@ -398,7 +404,7 @@ def test_delta_laws_free_clone_small():
 
 
 def test_delta_laws_catch_corrupted_action():
-    trunc = truncate_presheaf(representable_V(), 5)
+    trunc = truncate_presheaf(RepresentableV(), 5)
     g = generators()
     merge_at_1 = FinMap(3, 2, (0, 1, 1))  # identity(1) + merge
     bad = TruncatedPresheaf(5, trunc.carrier_sizes, {**trunc.actions, merge_at_1: (0, 0, 1)})
@@ -410,7 +416,7 @@ def test_monoid_reduction_verdicts_agree_with_table_checker():
     # the diagrams read stage by stage on the faithful presheaf, as
     # check_delta_laws reads them, must agree verdict for verdict with the
     # plain table checker, for the swap and for every other 2 -> 2 map
-    V = representable_V()
+    V = RepresentableV()
     g = generators()
     carriers = stage_carriers(V.set, 5, Report())
     for swap in [(1, 0), (0, 1), (0, 0), (1, 1)]:
@@ -433,7 +439,7 @@ def test_strength_naturality_random_map(m, n):
     # the right strength (a, y) -> (a, act(old, y)) commutes with f: the
     # tables' sides are the strength at n after f, and f on V x V after the
     # strength at m
-    V = representable_V()
+    V = RepresentableV()
     PP = ProductPresheaf(V, V)
     from clone_forge.fin_cat import shifted
 
@@ -448,7 +454,7 @@ def test_strength_naturality_random_map(m, n):
 
 
 def test_truncate_presheaf_roundtrip_action():
-    V = representable_V()
+    V = RepresentableV()
     trunc = truncate_presheaf(V, 3)
     for m, n in itertools.product(range(4), repeat=2):
         for f in enumerate_maps(m, n):
@@ -500,7 +506,7 @@ def test_a_stored_presheaf_keeps_its_own_actions():
 
 
 def test_truncated_checks_note_incompleteness():
-    trunc = truncate_presheaf(representable_V(), 2)
+    trunc = truncate_presheaf(RepresentableV(), 2)
     report = check_functoriality(trunc, 5)
     assert report.passed
     assert any("incomplete" in note for note in report.notes)

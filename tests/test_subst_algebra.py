@@ -228,9 +228,7 @@ def test_counterexamples_replay():
     assert not check.passed
     witness = check.counterexample
     m = int(witness["combo"].split("=")[1])
-    from clone_forge.presheaf_f import insert_map
-
-    lifted = mutated.base.act(insert_map(m), witness["x"])
+    lifted = mutated.base.act(old(m), witness["x"])
     assert mutated.s_at(m, lifted, witness["y"]) == witness["lhs"] != witness["x"]
 
 
