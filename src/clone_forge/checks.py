@@ -12,7 +12,6 @@ import math
 import random
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from operator import itemgetter
 
 
 class CarrierUnavailable(ValueError):
@@ -148,10 +147,9 @@ def _merge_mode(current: str | None, new: str) -> str | None:
 
 @dataclass(frozen=True)
 class Group:
-    """Axes whose values enter a witness as the one value ``make(values)``."""
+    """Axes whose values enter a witness as the one tuple of their values."""
 
     axes: list
-    make: Callable = tuple
 
 
 @dataclass(frozen=True)
@@ -173,10 +171,10 @@ def _first_unequal(lhs, rhs) -> int:
     return next(i for i, pair in enumerate(zip(lhs, rhs)) if pair[0] != pair[1])
 
 
-def _group(axis) -> Group:
+def _axes(axis) -> list:
     if isinstance(axis, Group):
-        return axis
-    return Group([axis.axis if isinstance(axis, Row) else axis], itemgetter(0))
+        return axis.axes
+    return [axis.axis if isinstance(axis, Row) else axis]
 
 
 class LawRunner:
@@ -209,8 +207,7 @@ class LawRunner:
         if self._witness is not None:
             return
         row = axes[-1].axis if axes and isinstance(axes[-1], Row) else None
-        groups = [_group(a) for a in axes]
-        flat = [axis for group in groups for axis in group.axes]
+        flat = [a for axis in axes for a in _axes(axis)]
         mode, stream = instance_stream(flat, self.policy, f"{self.law}|{combo}")
         self._mode = _merge_mode(self._mode, mode)
         count, failure = 0, None
@@ -235,9 +232,10 @@ class LawRunner:
         if failure is not None:
             values, lhs, rhs = failure
             named, at = list(self.fixed), 0
-            for group in groups:
-                named.append(group.make(values[at : at + len(group.axes)]))
-                at += len(group.axes)
+            for axis in axes:
+                width = len(_axes(axis))
+                named.append(values[at : at + width] if isinstance(axis, Group) else values[at])
+                at += width
             witness = dict(zip(self.names, [*named, lhs, rhs]))
             self._witness = {**witness, "law": self.law, "combo": combo}
 

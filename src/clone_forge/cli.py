@@ -187,7 +187,7 @@ def cmd_enum_hom(config: RunConfig):
     report = Report()
     report.notes.append(f"hom-set size: {_hom_count(size, config.dst)}")
     for hom in homs:
-        report.notes.append(f"hom: {list(hom.components)!r}")
+        report.notes.append(f"hom: {list(hom)!r}")
     if size > len(homs):
         report.notes.append(f"... {_hom_count(size, config.dst, len(homs))} more")
     return [("theory-homs", report)]

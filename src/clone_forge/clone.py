@@ -359,7 +359,7 @@ class FiniteClone(Clone):
         gave its value then, so a round substitutes only along the tuples
         holding an element the round before it added.
         """
-        elems = [self.iota(n, i) for i in range(n)]
+        elems = list(dict.fromkeys(self.iota(n, i) for i in range(n)))  # one table when k = 1
         seen = set(elems)
         old = None  # the elements of the round before; none in the first
         changed = True
@@ -525,39 +525,10 @@ def clone_laws_check(
     return report
 
 
-@dataclass(frozen=True)
-class TheoryHom:
-    """A morphism src -> dst of the induced theory: dst carrier elements."""
-
-    src: int
-    dst: int
-    components: tuple
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "components", tuple(self.components))
-        if len(self.components) != self.dst:
-            raise ValueError(
-                f"hom {self.src}->{self.dst} needs {self.dst} components, "
-                f"got {len(self.components)}"
-            )
-
-
-def theory_identity(clone: Clone, m: int) -> TheoryHom:
-    return TheoryHom(m, m, tuple(clone.iota(m, i) for i in range(m)))
-
-
-def theory_compose(clone: Clone, f: TheoryHom, g: TheoryHom) -> TheoryHom:
-    """The composite g-then-f; component k is f's k-th component substituted
-    along g's components."""
-    if g.dst != f.src:
-        raise ValueError(f"cannot compose {f.src}->{f.dst} after {g.src}->{g.dst}")
-    mu, m, n, us = clone.mu, f.src, g.src, g.components
-    # f.dst components by construction, so the constructor's check is skipped
-    composite = object.__new__(TheoryHom)
-    composite.__dict__.update(
-        src=n, dst=f.dst, components=tuple([mu(m, n, comp, us) for comp in f.components])
-    )
-    return composite
+def theory_compose(clone: Clone, m: int, n: int, f: tuple, g: tuple) -> tuple:
+    """The composite of g: n -> m and then f: m -> k, each the tuple of its
+    components: f's components substituted along g's."""
+    return tuple([clone.mu(m, n, t, g) for t in f])
 
 
 def theory_laws_check(
@@ -567,9 +538,13 @@ def theory_laws_check(
     policy: CheckPolicy = CheckPolicy(),
     compose_fn=theory_compose,
 ) -> Report:
-    """Associativity and identity laws of theory composition up to bound."""
+    """Associativity and identity laws of theory composition up to bound.
+
+    A hom m -> n is the tuple of its n components in C_m.
+    """
     report = Report()
     carriers = stage_carriers(lambda n: clone.elems(n, budget), bound, report)
+    iotas = {m: tuple(clone.iota(m, i) for i in range(m)) for m in carriers}
 
     def associativity(a, b, c, d):
         # a sweep varies h fastest, so f, g and their composite are kept for
@@ -579,23 +554,22 @@ def theory_laws_check(
         def sides(*vals):
             nonlocal prefix, f, g, fg
             if vals[: d + c] != prefix:
-                f = TheoryHom(c, d, vals[:d])
-                g = TheoryHom(b, c, vals[d : d + c])
-                fg = compose_fn(clone, f, g)
+                f, g = vals[:d], vals[d : d + c]
+                fg = compose_fn(clone, c, b, f, g)
                 prefix = vals[: d + c]
-            h = TheoryHom(a, b, vals[d + c :])
-            return compose_fn(clone, fg, h), compose_fn(clone, f, compose_fn(clone, g, h))
+            h = vals[d + c :]
+            return (compose_fn(clone, b, a, fg, h),
+                    compose_fn(clone, c, a, f, compose_fn(clone, b, a, g, h)))
 
         return sides
 
-    def unit(m, n, *vals):
-        f = TheoryHom(m, n, vals)
-        left = compose_fn(clone, theory_identity(clone, n), f)
-        right = compose_fn(clone, f, theory_identity(clone, m))
+    def unit(m, n, *f):
+        left = compose_fn(clone, n, m, iotas[n], f)
+        right = compose_fn(clone, m, m, f, iotas[m])
         return (left, right), (f, f)
 
     def homs(m, n):
-        return Group([carriers[m]] * n, partial(TheoryHom, m, n))
+        return Group([carriers[m]] * n)
 
     report.checks.append(check_law("hom-associativity", policy, "f g h lhs rhs", (
         (f"{a}->{b}->{c}->{d}", (), [homs(c, d), homs(b, c), homs(a, b)],
@@ -611,14 +585,14 @@ def theory_laws_check(
 
 def enumerate_theory_homs(
     clone: Clone, m: int, n: int, budget: Budget = Budget(), *, limit: int
-) -> tuple[int, list[TheoryHom]]:
-    """The size of the hom-set m -> n and its first ``limit`` homs.
+) -> tuple[int, list[tuple]]:
+    """The size of the hom-set m -> n and its first ``limit`` homs, as tuples.
 
     Only the homs returned are built, so the size may be far beyond memory.
     """
     carrier = list(clone.elems(m, budget))
     combos = itertools.islice(itertools.product(carrier, repeat=n), limit)
-    return len(carrier) ** n, [TheoryHom(m, n, combo) for combo in combos]
+    return len(carrier) ** n, list(combos)
 
 
 def clone_hom_families(h, src: Clone, dst: Clone, carriers: dict[int, list]) -> dict:

@@ -23,7 +23,6 @@ from clone_forge.clone import (
     FreeClone,
     InitialClone,
     Signature,
-    TheoryHom,
     Var,
     builtin_clone,
     clone_hom_check,
@@ -31,7 +30,6 @@ from clone_forge.clone import (
     free_iota,
     free_mu,
     theory_compose,
-    theory_identity,
     theory_laws_check,
 )
 from clone_forge.iso_bridge import AlgebraClone, s_functor
@@ -160,9 +158,9 @@ def test_clone_associativity_substitutes_along_ys_once_per_prefix():
 def test_hom_associativity_composes_f_and_g_once_per_pair():
     calls = []
 
-    def counting(clone, f, g):
+    def counting(clone, m, n, f, g):
         calls.append((f, g))
-        return theory_compose(clone, f, g)
+        return theory_compose(clone, m, n, f, g)
 
     assert theory_laws_check(builtin_clone("initial"), 3, compose_fn=counting).passed
     expected = 0
@@ -175,16 +173,15 @@ def test_hom_associativity_composes_f_and_g_once_per_pair():
     assert len(calls) == expected
 
 
-def test_theory_compose_builds_a_hom_equal_to_the_constructors():
-    free = FreeClone(SIG)
-    f = TheoryHom(2, 2, (X0X1, Var(0)))
-    g = TheoryHom(1, 2, (Var(0), E))
-    composite = theory_compose(free, f, g)
-    assert composite == TheoryHom(1, 2, (App("b", (Var(0), E)), Var(0)))
-    assert hash(composite) == hash(TheoryHom(1, 2, [App("b", (Var(0), E)), Var(0)]))
-    assert type(composite.components) is tuple
-    with pytest.raises(ValueError, match="needs 2 components, got 1"):
-        TheoryHom(1, 2, (Var(0),))
+@pytest.mark.parametrize("clone, f, g", [
+    (FreeClone(SIG), (X0X1, Var(0)), (Var(0),)),
+    (FiniteClone(MEET, 2), ((0, 0, 0, 1),), ((0, 1),)),
+    (builtin_clone("initial"), (1, 0), (0,)),
+], ids=["free", "finite", "initial"])
+def test_theory_compose_rejects_a_hom_of_the_wrong_length(clone, f, g):
+    # f: 2 -> k needs a g: n -> 2 of two components; this g has one
+    with pytest.raises(ContextError, match="expected 2 substituends, got 1"):
+        theory_compose(clone, 2, 1, f, g)
 
 
 @settings(max_examples=200)
@@ -439,6 +436,20 @@ def test_constant_algebra_carrier():
     assert (1, 1, 1, 1) in clone.elems(2)
 
 
+@pytest.mark.parametrize("operations, name", [({}, "arrow"), ({"e": (0, (0,))}, "terminal")])
+def test_one_element_algebra_lists_each_element_once(operations, name):
+    # on one element every projection is the same table
+    budget = Budget(max_arity=3)
+    finite = FiniteClone(FiniteAlgebra(1, operations), 3)
+    builtin = builtin_clone(name)
+    assert [len(finite.elems(n)) for n in range(4)] == [len(builtin.elems(n)) for n in range(4)]
+    got = clone_laws_check(finite, budget).checks
+    want = clone_laws_check(builtin, budget).checks
+    assert [(c.law, c.passed, c.instances) for c in got] == [
+        (c.law, c.passed, c.instances) for c in want
+    ]
+
+
 def test_projections_always_present():
     clone = FiniteClone(FiniteAlgebra(2, {"meet": (2, (0, 0, 0, 1))}), 3)
     for n in range(1, 4):
@@ -546,21 +557,16 @@ def test_clone_laws_arrow_pass():
     assert clone_laws_check(builtin_clone("arrow"), Budget(max_arity=3)).passed
 
 
-def test_theory_identity_components():
-    free = FreeClone(SIG)
-    assert theory_identity(free, 2) == TheoryHom(2, 2, (Var(0), Var(1)))
-
-
 def test_theory_compose_example():
     free = FreeClone(SIG)
-    f = TheoryHom(2, 1, (App("b", (Var(0), Var(1))),))
-    g = TheoryHom(1, 2, (Var(0), App("b", (Var(0), Var(0)))))
-    composite = theory_compose(free, f, g)
+    f = (App("b", (Var(0), Var(1))),)  # 2 -> 1
+    g = (Var(0), App("b", (Var(0), Var(0))))  # 1 -> 2
+    composite = theory_compose(free, 2, 1, f, g)
     expected = App("b", (Var(0), App("b", (Var(0), Var(0)))))
     # oracle: the naive substituter computes the same component
-    env = {i: tree(c) for i, c in enumerate(g.components)}
-    assert naive_subst(tree(f.components[0]), env) == tree(expected)
-    assert composite == TheoryHom(1, 1, (expected,))
+    env = {i: tree(c) for i, c in enumerate(g)}
+    assert naive_subst(tree(f[0]), env) == tree(expected)
+    assert composite == (expected,)
 
 
 def test_initial_hom_counts():
@@ -576,9 +582,8 @@ def test_theory_laws_initial_and_terminal():
 
 
 def test_theory_laws_catch_reversed_compose():
-    def reversed_components(clone, f, g):
-        good = theory_compose(clone, f, g)
-        return TheoryHom(good.src, good.dst, tuple(reversed(good.components)))
+    def reversed_components(clone, m, n, f, g):
+        return theory_compose(clone, m, n, f, g)[::-1]
 
     report = theory_laws_check(
         builtin_clone("initial"), 2, compose_fn=reversed_components

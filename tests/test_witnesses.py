@@ -4,8 +4,8 @@
 mode, instance count, counterexample (key order included) and the report's
 notes.  The inputs are the corpus mutant battery at bound 4 and a few broken
 clones and presheaves, so most families record a failing witness.  Regenerate
-the fixture only for an intended change of reports, and say which entries
-changed::
+the fixture only for an intended change of reports; before it writes, the
+script prints the key of each entry whose payload changed::
 
     PYTHONPATH=src python3 tests/test_witnesses.py
 """
@@ -22,7 +22,6 @@ from clone_forge.clone import (
     FiniteClone,
     FreeClone,
     Signature,
-    TheoryHom,
     builtin_clone,
     clone_hom_check,
     clone_laws_check,
@@ -77,9 +76,8 @@ class TwistedV(RepresentableV):
         return (y + 1) % f.cod if f is self.bad else y
 
 
-def reversed_compose(clone, f, g):
-    good = theory_compose(clone, f, g)
-    return TheoryHom(good.src, good.dst, tuple(reversed(good.components)))
+def reversed_compose(clone, m, n, f, g):
+    return theory_compose(clone, m, n, f, g)[::-1]
 
 
 def shifted_index(m, i):
@@ -174,6 +172,11 @@ def test_every_delta_law_fails_in_some_entry():
 
 
 if __name__ == "__main__":
+    new = json.loads(json.dumps(payload()))
+    old = json.loads(FIXTURE.read_text()) if FIXTURE.exists() else {}
+    for key in dict.fromkeys([*new, *old]):  # as the test compares: key order counts
+        if json.dumps(new.get(key)) != json.dumps(old.get(key)):
+            print(f"changed: {key}")
     FIXTURE.parent.mkdir(exist_ok=True)
-    FIXTURE.write_text(json.dumps(payload(), indent=1) + "\n")
+    FIXTURE.write_text(json.dumps(new, indent=1) + "\n")
     print(f"wrote {FIXTURE}", file=sys.stderr)
